@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -256,6 +257,31 @@ def test_tradeoff_matches_repeated_solve():
         got = tradeoff_curve(wv(*values), alpha_star).pairs
         want = curve_by_repeated_solve(values, alpha_star, solve_truncation, TruncationQuery)
         assert got == want, (values, alpha_star)
+
+
+def _lognormal_declared(seed, k):
+    # lognormal(1.5, 3.45) counts rounded to integers (about a quarter round
+    # to 0), with 1 % of the clients declaring 10^7
+    rng = np.random.default_rng(seed)
+    values = np.rint(rng.lognormal(1.5, 3.45, k)).astype(np.int64)
+    values[rng.choice(k, size=k // 100, replace=False)] = 10**7
+    return wv(*(int(x) for x in values))
+
+
+def test_realistic_k_outputs_pinned():
+    # Outputs recorded before the solver and the sweep shared one kernel.  At
+    # K=20 000 the zero counts make every grid point above alpha=7431/20000
+    # infeasible, so the sweep skips 2 569 of them before its first pair.
+    curve = tradeoff_curve(_lognormal_declared(20261018, 20_000), F(1, 2))
+    assert len(curve.pairs) == 7330
+    assert curve.pairs[0] == (F(7431, 20000), 1)
+    assert hashlib.sha256(curve.to_csv().encode()).hexdigest() == (
+        "40de6614d75eb636d0c5f8f7b426d0f2a6b276aee8572326bfe81d9adf4172de"
+    )
+    v = _lognormal_declared(20261019, 4_000)
+    for alpha, cap, share in [(F(1, 10), 283, F(56600, 113269)), (F(1, 4), 12, F(120, 241))]:
+        out = solve_truncation(v, TruncationQuery(alpha, F(1, 2)))
+        assert (out.status, out.cap, out.achieved_share) == (TruncationStatus.SOLVED, cap, share)
 
 
 def test_tradeoff_curve_is_monotone():
