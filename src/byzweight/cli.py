@@ -21,8 +21,6 @@ from .config import ConfigError, read_config
 from .experiment import build_clients, build_model, build_task, run_grid
 from .tasks import objective_gap
 from .weights import (
-    DegenerateInterval,
-    PreprocessInfeasible,
     as_fraction,
     read_weights_file,
     tradeoff_curve,
@@ -35,10 +33,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NOT_CERTIFIED = 4
 
 
-def _fraction(text: str):
-    return as_fraction(text)
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -47,9 +41,9 @@ def _fail(message: str) -> int:
 def cmd_tradeoff(args) -> int:
     try:
         weights = read_weights_file(args.weights)
+        curve = tradeoff_curve(weights, args.alpha_star)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    curve = tradeoff_curve(weights, args.alpha_star)
     if not curve.pairs:
         print(
             "no feasible pairs: every candidate assumption is already satisfied "
@@ -122,10 +116,7 @@ def cmd_simulate(args) -> int:
         return _fail(str(exc))
     if args.jobs < 1:
         return _fail("jobs must be >= 1")
-    try:
-        results = run_grid(cfg, out_dir=args.out_dir, jobs=args.jobs)
-    except (DegenerateInterval, PreprocessInfeasible) as exc:
-        return _fail(str(exc))
+    results = run_grid(cfg, out_dir=args.out_dir, jobs=args.jobs)
     out = args.out_dir if args.out_dir is not None else cfg.out_dir
     print(f"{len(results)} cells -> {os.path.join(out, 'summary.csv')}")
     return EXIT_OK
@@ -144,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="assumption-vs-cap pairs for a declared weight file",
     )
     p.add_argument("--weights", required=True, help="file with one integer per line")
-    p.add_argument("--alpha-star", required=True, type=_fraction, help="share limit")
+    p.add_argument("--alpha-star", required=True, type=as_fraction, help="share limit")
     p.add_argument("--out-dir", help="write tradeoff.csv here instead of stdout")
     p.set_defaults(run=cmd_tradeoff)
 
@@ -154,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--weights", required=True)
     p.add_argument("--k", required=True, type=int, help="sample size")
-    p.add_argument("--alpha", required=True, type=_fraction)
-    p.add_argument("--alpha-star", required=True, type=_fraction)
+    p.add_argument("--alpha", required=True, type=as_fraction)
+    p.add_argument("--alpha-star", required=True, type=as_fraction)
     p.add_argument("--delta", required=True, type=float, help="failure probability")
     p.add_argument("--u", required=True, type=int, help="cap applied before sampling")
     p.add_argument("--seed", type=int, default=0)

@@ -265,8 +265,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             out.write(f"{key} = {_format_value(cfg, attr, kind)}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def write_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(serialize_config(cfg))

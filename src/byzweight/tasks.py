@@ -91,17 +91,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx])
 
-    def to_csv(self) -> str:
-        header = ",".join(f"feature_{j}" for j in range(self.dim)) + ",label"
-        lines = [header]
-        for row, label in zip(self.features, self.labels):
-            lines.append(",".join(repr(float(x)) for x in row) + f",{int(label)}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def _class_means(dim: int, classes: int, separation: float) -> np.ndarray:
     if classes > dim:
@@ -299,14 +288,6 @@ class OneHiddenMLP:
 
 
 Model = Union[SoftmaxRegression, OneHiddenMLP]
-
-
-def loss(model: Model, w, batch: Dataset, dropout_rng=None) -> float:
-    return model.loss(w, batch, dropout_rng)
-
-
-def gradient(model: Model, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
-    return model.gradient(w, batch, dropout_rng)
 
 
 def accuracy(model: Model, w, ds: Dataset) -> float:

@@ -6,11 +6,11 @@ small group can hold must be limited: the combined share of the largest
 ``alpha``-fraction of clients has to stay at or below ``alpha_star``.
 Among real-valued repairs that only shrink counts, capping every count at a
 common bound is the cheapest in L1 distance.  This module computes the
-largest integer such bound exactly with rational arithmetic, along with the
-full trade-off between assumed coalition size and the resulting cap.  The
-integer cap is the floor of the real-valued one, so it removes fewer than n
-units more than the cheapest integer repair, where n is the number of
-clients whose counts exceed it.
+largest integer such bound exactly, in Python integers and fractions that
+cannot overflow, along with the full trade-off between assumed coalition
+size and the resulting cap.  The integer cap is the floor of the
+real-valued one, so it removes fewer than n units more than the cheapest
+integer repair, where n is the number of clients whose counts exceed it.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 
 class ZeroTotalWeight(ValueError):
     """A weight vector with zero total cannot be given shares."""
-
-
-class DegenerateInterval(ValueError):
-    """The share constraint cannot bind inside the requested interval."""
 
 
 class PreprocessInfeasible(ValueError):
@@ -130,10 +127,6 @@ class TradeoffCurve:
             lines.append(f"{float(alpha):.6f},{cap}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def top_share(v: WeightVector, fraction: Union[Fraction, int, float, str]) -> Fraction:
     """Share of total weight held by the top `fraction` of clients.
@@ -160,42 +153,42 @@ def truncate(v: WeightVector, cap: int) -> WeightVector:
     return WeightVector(tuple(min(x, cap) for x in v.values), v.ids)
 
 
-def _window_sums(v: WeightVector, u: int, alpha: Fraction) -> tuple[int, int, int, int]:
-    """Coefficients (a, b, c, d) of the capped top share on interval u.
+def _crossing(
+    prefix: list[int], values: Sequence[int], j: int, u: int, p: int, q: int
+) -> tuple[int, int | None]:
+    """Find where the capped top-j share first exceeds p/q, walking up from u.
 
-    For caps between the u-th and (u+1)-th smallest weights the share equals
-    (a + b*cap) / (c + d*cap): a is the weight of top-group clients at or
-    below index u, b counts clients above both u and the top-group boundary,
-    c is the weight at or below u, d counts clients above u.
+    Interval u (1-based) holds the caps between the u-th and (u+1)-th
+    smallest weights; there the top-j share of the capped vector is
+    (a + b*cap) / (c + d*cap), with a the weight of top-group clients at or
+    below u, b the count of top-group clients above u, c the weight at or
+    below u and d the count of clients above u.  Returns the first interval
+    whose upper end exceeds the limit with the largest integer cap that
+    meets it, or None when even the interval's lower end (at least 1)
+    exceeds it.  Returns (len(values), None) when the uncapped vector meets
+    the limit.  `prefix` holds the running sums of `values`, starting at 0.
     """
-    k = len(v)
-    lo = math.floor((1 - alpha) * k)  # top group is 1-based indices > lo
-    a = sum(v.values[lo:u]) if lo < u else 0
-    b = k - max(u, lo)
-    c = sum(v.values[:u])
-    d = k - u
-    return a, b, c, d
-
-
-def interval_solve(v: WeightVector, u: int, query: TruncationQuery) -> int:
-    """Largest integer cap within interval u meeting the share limit.
-
-    `u` is 1-based; the interval covers caps between the u-th and (u+1)-th
-    smallest weights.  Raises DegenerateInterval when the share constraint
-    cannot bind there (the capped share never crosses the limit from below),
-    which happens exactly when d*alpha_star - b is non-negative.
-    """
-    k = len(v)
-    if not 1 <= u <= k - 1:
-        raise ValueError(f"interval index must lie in [1, {k - 1}], got {u}")
-    a, b, c, d = _window_sums(v, u, query.alpha)
-    limit = query.alpha_star
-    denom = d * limit - b
-    if denom >= 0:
-        raise DegenerateInterval(
-            f"share constraint cannot bind on interval {u} (d*limit - b = {denom})"
-        )
-    return math.floor((a - c * limit) / denom)
+    k = len(values)
+    lo = k - j  # the top group is the 0-based indices lo..k-1
+    while u < k:
+        upper = values[u]
+        c = prefix[u]
+        d = k - u
+        if lo < u:
+            a, b = c - prefix[lo], d
+        else:
+            a, b = 0, j
+        if upper == 0 or (a + b * upper) * q <= p * (c + d * upper):
+            u += 1
+            continue
+        lower = max(1, values[u - 1])
+        if (a + b * lower) * q > p * (c + d * lower):
+            return u, None
+        # (a + b*cap)*q - p*(c + d*cap) is <= 0 at lower and > 0 at
+        # upper > lower, so its slope b*q - d*p is positive and the
+        # divisor below is negative, never zero.
+        return u, (a * q - c * p) // (d * p - b * q)
+    return u, None
 
 
 def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutcome:
@@ -204,76 +197,46 @@ def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutco
     Returns NO_TRUNCATION_NEEDED when the raw vector already satisfies the
     limit, INFEASIBLE when even flattening every weight to the smallest
     positive level fails, and otherwise the exact maximal cap together with
-    the share it achieves.
+    the share it achieves.  Costs O(K) beyond the sort: one pass of prefix
+    sums and one upward walk over the intervals, with no per-interval
+    rescans of the vector.
     """
     alpha, limit = query.alpha, query.alpha_star
     share = top_share(v, alpha)
     if share <= limit:
         return TruncationOutcome(TruncationStatus.NO_TRUNCATION_NEEDED, None, share)
-    floor_cap = max(1, v.values[0])
-    if top_share(truncate(v, floor_cap), alpha) > limit:
-        return TruncationOutcome(TruncationStatus.INFEASIBLE)
     k = len(v)
-    for u in range(k - 1, 0, -1):
-        cap_lo = max(1, v.values[u - 1])
-        if top_share(truncate(v, cap_lo), alpha) <= limit:
-            cap = interval_solve(v, u, query)
-            achieved = top_share(truncate(v, cap), alpha)
-            return TruncationOutcome(TruncationStatus.SOLVED, cap, achieved)
-    raise AssertionError("unreachable: flattening satisfied the limit but no interval did")
+    j = k - math.floor((1 - alpha) * k)
+    prefix = list(accumulate(v.values, initial=0))
+    _, cap = _crossing(prefix, v.values, j, 1, limit.numerator, limit.denominator)
+    if cap is None:
+        return TruncationOutcome(TruncationStatus.INFEASIBLE)
+    return TruncationOutcome(TruncationStatus.SOLVED, cap, top_share(truncate(v, cap), alpha))
 
 
 def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]) -> TradeoffCurve:
     """All feasible (alpha, cap) pairs for alpha on the 1/K grid.
 
     Walks alpha downward from the largest feasible grid point, one fewer
-    tolerated lying client per step, while the cap pointer only moves upward;
-    with precomputed prefix sums the whole sweep costs O(K) beyond the sort.
-    Grid points where no cap can meet the limit are skipped; the sweep stops
-    once the raw vector satisfies the limit on its own.
+    tolerated lying client per step, while the interval pointer only moves
+    upward; with precomputed prefix sums the whole sweep costs O(K) beyond
+    the sort.  Grid points where no cap can meet the limit are skipped; the
+    sweep stops once the raw vector satisfies the limit on its own.
     """
     limit = as_fraction(alpha_star)
     if not 0 < limit < 1:
         raise ValueError(f"alpha_star must lie in (0, 1), got {limit}")
     k = len(v)
     p, q = limit.numerator, limit.denominator
-    prefix = [0]
-    for x in v.values:
-        prefix.append(prefix[-1] + x)
-
-    def cap_ok(cap: int, u: int, j: int) -> bool:
-        # share of trunc(v, cap) for the top j clients, compared exactly
-        lo = k - j
-        a = prefix[u] - prefix[lo] if lo < u else 0
-        b = k - max(u, lo)
-        c = prefix[u]
-        d = k - u
-        return (a + b * cap) * q <= p * (c + d * cap)
-
+    prefix = list(accumulate(v.values, initial=0))
     pairs: list[tuple[Fraction, int]] = []
-    j = math.floor(limit * k)
     u = 1
-    while j >= 1 and u <= k - 1:
-        upper = v.values[u]  # cap at the top of interval u
-        if upper == 0 or cap_ok(upper, u, j):
-            u += 1
-            continue
-        if not cap_ok(max(1, v.values[u - 1]), u, j):
-            j -= 1  # no cap works for this alpha; skip the grid point
-            continue
-        lo = k - j
-        a = prefix[u] - prefix[lo] if lo < u else 0
-        b = k - max(u, lo)
-        c = prefix[u]
-        d = k - u
-        denom = d * p - b * q
-        if denom >= 0:
-            raise DegenerateInterval(
-                f"share constraint cannot bind on interval {u} while sweeping"
-            )
-        cap = (a * q - c * p) // denom
-        pairs.append((Fraction(j, k), cap))
-        j -= 1
+    for j in range(math.floor(limit * k), 0, -1):
+        u, cap = _crossing(prefix, v.values, j, u, p, q)
+        if u == k:
+            break
+        if cap is not None:
+            pairs.append((Fraction(j, k), cap))
     return TradeoffCurve(tuple(pairs))
 
 
@@ -335,8 +298,3 @@ def read_weights_file(path) -> WeightVector:
         raise ValueError(f"{path}: no weights found")
     return WeightVector.from_values(values)
 
-
-def write_weights_file(path, v: WeightVector) -> None:
-    with open(path, "w", newline="") as fh:
-        for x in v.values:
-            fh.write(f"{x}\n")

@@ -200,6 +200,9 @@ def test_tradeoff_bad_weights_exit_2(tmp_path, capsys):
     code = main(["tradeoff", "--weights", str(wfile), "--alpha-star", "0.5"])
     assert code == 2
     assert main(["tradeoff", "--weights", str(tmp_path / "absent"), "--alpha-star", "0.5"]) == 2
+    write_weights(wfile, [1, 1, 1, 1, 100])
+    for alpha_star in ("1", "0"):
+        assert main(["tradeoff", "--weights", str(wfile), "--alpha-star", alpha_star]) == 2
     capsys.readouterr()
 
 

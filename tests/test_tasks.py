@@ -325,16 +325,3 @@ def test_gap_input_validation():
     with pytest.raises(ValueError):
         objective_gap(model, w, shards, declared, cap=0)
 
-
-def test_dataset_csv_header_and_newlines(tmp_path):
-    ds = generate_blobs(3, dim=2, classes=2, seed=1)
-    text = ds.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "feature_0,feature_1,label"
-    assert len(lines) == 4
-    assert text.endswith("\n") and "\r" not in text
-    path = tmp_path / "ds.csv"
-    ds.write_csv(path)
-    body = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(body[:, :2], ds.features)
-    assert np.array_equal(body[:, 2].astype(int), ds.labels)
