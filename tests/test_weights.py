@@ -245,9 +245,10 @@ def _lognormal_declared(seed, k):
 
 
 def test_realistic_k_outputs_pinned():
-    # Outputs recorded before the solver and the sweep shared one kernel.  At
-    # K=20 000 the zero counts make every grid point above alpha=7431/20000
-    # infeasible, so the sweep skips 2 569 of them before its first pair.
+    # Byte-identity guard at realistic K: a refactor of the solver or the
+    # sweep must leave these outputs unchanged.  At K=20 000 the zero counts
+    # make every grid point above alpha=7431/20000 infeasible, so the sweep
+    # skips 2 569 of them before its first pair.
     curve = tradeoff_curve(_lognormal_declared(20261018, 20_000), F(1, 2))
     assert len(curve.pairs) == 7330
     assert curve.pairs[0] == (F(7431, 20000), 1)
