@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,6 +21,7 @@ from byzweight.weights import (
     TruncationStatus,
     WeightVector,
     ZeroTotalWeight,
+    _crossing,
     preprocess,
     read_weights_file,
     solve_truncation,
@@ -128,6 +130,16 @@ def test_capped_share_monotone_in_cap(v, c1, c2):
 
 
 # ------------------------------------------------------------- solve_truncation
+
+def test_interval_solve_hand_values():
+    # interval 4 of (1, 1, 1, 1, 100) holds the caps between 1 and 100; there
+    # the limit 1/2 on the top share is met up to cap 2 (alpha 2/5, j = 2) and
+    # up to cap 4 (alpha 1/5, j = 1)
+    v = wv(1, 1, 1, 1, 100)
+    prefix = list(accumulate(v.values, initial=0))
+    assert _crossing(prefix, v.values, 2, 4, 1, 2) == (4, 2)
+    assert _crossing(prefix, v.values, 1, 4, 1, 2) == (4, 4)
+
 
 def test_solve_hand_values():
     out = solve_truncation(wv(1, 1, 1, 1, 100), TruncationQuery(F(1, 5), F(1, 2)))
