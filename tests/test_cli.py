@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from byzweight.certificate import CertificateParams
 from byzweight.cli import main
 from byzweight.config import (
     ConfigError,
@@ -16,7 +18,13 @@ from byzweight.config import (
     parse_config,
     serialize_config,
 )
-from byzweight.engine import Behavior
+from byzweight.engine import (
+    Behavior,
+    TrainConfig,
+    TrimmedMean,
+    WeightedMean,
+    select_clients,
+)
 from byzweight.experiment import (
     attacker_ids,
     build_clients,
@@ -24,6 +32,13 @@ from byzweight.experiment import (
     grid_cells,
     metrics_filename,
     run_grid,
+)
+from byzweight.tasks import OneHiddenMLP
+from byzweight.weights import (
+    Passthrough,
+    TruncationQuery,
+    WeightVector,
+    tradeoff_curve,
 )
 
 SMALL = """
@@ -75,6 +90,100 @@ def test_unknown_section_and_key_rejected():
         parse_config("[task]\ndim = five\n")
 
 
+NAN = float("nan")
+INF = float("inf")
+
+# (section, key, config text, the same value in Python, accepted): values just
+# inside and just outside every bound, plus NaN and infinities for the floats.
+# The config defaults hold 100 clients.
+BOUNDARY_CASES = [
+    ("preprocess", "alpha", "1/1000000", F(1, 1000000), True),
+    ("preprocess", "alpha", "1", F(1), True),
+    ("preprocess", "alpha", "0", F(0), False),
+    ("preprocess", "alpha", "-1/10", F(-1, 10), False),
+    ("preprocess", "alpha", "1000001/1000000", F(1000001, 1000000), False),
+    ("preprocess", "alpha", "nan", NAN, False),
+    ("preprocess", "alpha_star", "1/1000000", F(1, 1000000), True),
+    ("preprocess", "alpha_star", "999999/1000000", F(999999, 1000000), True),
+    ("preprocess", "alpha_star", "0", F(0), False),
+    ("preprocess", "alpha_star", "1", F(1), False),
+    ("preprocess", "alpha_star", "-1/2", F(-1, 2), False),
+    ("preprocess", "alpha_star", "nan", NAN, False),
+    ("training", "rounds", "0", 0, True),
+    ("training", "rounds", "-1", -1, False),
+    ("training", "epochs", "1", 1, True),
+    ("training", "epochs", "0", 0, False),
+    ("training", "eta", "1e-300", 1e-300, True),
+    ("training", "eta", "inf", INF, True),
+    ("training", "eta", "0", 0.0, False),
+    ("training", "eta", "-0.1", -0.1, False),
+    ("training", "eta", "-inf", -INF, False),
+    ("training", "eta", "nan", NAN, False),
+    ("training", "batch_size", "1", 1, True),
+    ("training", "batch_size", "0", 0, False),
+    ("training", "batch_size", "0.000001", 0.000001, True),
+    ("training", "batch_size", "1.0", 1.0, True),
+    ("training", "batch_size", "0.0", 0.0, False),
+    ("training", "batch_size", "1.0000001", 1.0000001, False),
+    ("training", "batch_size", "-0.5", -0.5, False),
+    ("training", "batch_size", "1.e400", INF, False),
+    ("training", "batch_size", "nan", NAN, False),
+    ("training", "clients_per_round", "", None, True),
+    ("training", "clients_per_round", "1", 1, True),
+    ("training", "clients_per_round", "100", 100, True),
+    ("training", "clients_per_round", "0", 0, False),
+    ("training", "clients_per_round", "101", 101, False),
+    ("training", "clients_per_round", "0.000001", 0.000001, True),
+    ("training", "clients_per_round", "1.0", 1.0, True),
+    ("training", "clients_per_round", "0.0", 0.0, False),
+    ("training", "clients_per_round", "1.0000001", 1.0000001, False),
+    ("training", "clients_per_round", "-0.5", -0.5, False),
+    ("training", "clients_per_round", "1.e400", INF, False),
+    ("training", "clients_per_round", "nan", NAN, False),
+    ("aggregator", "beta", "0", 0.0, True),
+    ("aggregator", "beta", "0.4999999", 0.4999999, True),
+    ("aggregator", "beta", "0.5", 0.5, False),
+    ("aggregator", "beta", "-0.0001", -0.0001, False),
+    ("aggregator", "beta", "nan", NAN, False),
+    ("model", "dropout", "0", 0.0, True),
+    ("model", "dropout", "0.999", 0.999, True),
+    ("model", "dropout", "1", 1.0, False),
+    ("model", "dropout", "-0.001", -0.001, False),
+    ("model", "dropout", "nan", NAN, False),
+    ("model", "hidden", "1", 1, True),
+    ("model", "hidden", "0", 0, False),
+    ("model", "hidden", "-1", -1, False),
+]
+
+
+def _train_config(**kw):
+    base = dict(
+        rounds=1, eta=0.1, epochs=1, batch_size=1, preprocess=Passthrough(), aggregator=WeightedMean()
+    )
+    return TrainConfig(**{**base, **kw})
+
+
+# the library calls that take each value besides the config, all raising ValueError
+OWNER_ROUTES = {
+    "alpha": [
+        lambda v: TruncationQuery(v, F(1, 2)),
+        lambda v: CertificateParams(100, v, F(1, 2), 0.05, 10),
+    ],
+    "alpha_star": [
+        lambda v: TruncationQuery(F(1, 10), v),
+        lambda v: CertificateParams(100, F(1, 10), v, 0.05, 10),
+        lambda v: tradeoff_curve(WeightVector.from_values([1, 2, 3]), v),
+    ],
+    "rounds": [lambda v: _train_config(rounds=v)],
+    "epochs": [lambda v: _train_config(epochs=v)],
+    "eta": [lambda v: _train_config(eta=v)],
+    "batch_size": [lambda v: _train_config(batch_size=v)],
+    "clients_per_round": [lambda v: select_clients(1, 100, v, 0)],
+    "beta": [lambda v: TrimmedMean(v)],
+    "dropout": [lambda v: OneHiddenMLP(20, 32, 10, v)],
+}
+
+
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("[task]\ndim = 3\nclasses = 5\n")
@@ -88,6 +197,19 @@ def test_invalid_values_rejected():
         parse_config("[aggregator]\nbeta = 0.5\n")
     with pytest.raises(ConfigError):
         parse_config("[training]\neta = 0\n")
+    for section, key, text, value, accepted in BOUNDARY_CASES:
+        config = f"[{section}]\n{key} = {text}\n"
+        routes = OWNER_ROUTES.get(key, [])
+        if accepted:
+            parse_config(config)
+            for build in routes:
+                build(value)
+            continue
+        with pytest.raises(ConfigError):
+            parse_config(config)
+        for build in routes:
+            with pytest.raises(ValueError):
+                build(value)
 
 
 def test_clients_per_round_forms():

@@ -425,3 +425,15 @@ def test_config_validation():
         toy_config(epochs=0)
     with pytest.raises(ValueError):
         toy_config(batch_size=0)
+    for bad in (
+        dict(eta=float("nan")),
+        dict(eta=-float("inf")),
+        dict(epochs=-1),
+        dict(batch_size=0.0),
+        dict(batch_size=1.5),
+        dict(batch_size=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            toy_config(**bad)
+    for good in (dict(rounds=0), dict(batch_size=1.0), dict(batch_size=1e-9)):
+        toy_config(**good)
