@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weights import WeightVector, as_fraction, top_share, truncate
+from .weights import TruncationQuery, WeightVector, top_share, truncate
 
 
 class AlphaTooSmall(ValueError):
@@ -35,25 +35,17 @@ class CertificateParams:
     alpha_star: Fraction
     delta: float
     cap: int
-    # The published margin formulas carry an extra inner logarithm in the
-    # second and third terms; the proof supports the plain log, which is the
-    # default.  The printed variant is reproducible but carries no soundness
-    # guarantee here.
-    use_printed_log_term: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "alpha_star", as_fraction(self.alpha_star))
         if self.sample_size < 1:
             raise ValueError("sample_size must be positive")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.cap < 0:
             raise ValueError("cap must be non-negative")
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.alpha_star < 1:
-            raise ValueError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
+        query = TruncationQuery(self.alpha, self.alpha_star)
+        object.__setattr__(self, "alpha", query.alpha)
+        object.__setattr__(self, "alpha_star", query.alpha_star)
 
 
 @dataclass(frozen=True)
@@ -92,16 +84,16 @@ def margins(params: CertificateParams) -> CertificateMargins:
     resolve a top group of that fraction.
     """
     k = params.sample_size
+    # eps2 and eps3 take the plain log, not the printed inner log: the proof supports it
     base = math.log(3.0 / params.delta)
-    tail = math.log(base) if params.use_printed_log_term else base
     eps1 = math.sqrt(base / (2.0 * k))
     alpha = float(params.alpha)
     if alpha <= eps1:
         raise AlphaTooSmall(
             f"alpha={alpha} must exceed eps1={eps1:.6g}; increase the sample size"
         )
-    eps2 = params.cap * math.sqrt(tail / (2.0 * (k * (alpha - eps1) + 1.0)))
-    eps3 = params.cap * math.sqrt(tail / (2.0 * k))
+    eps2 = params.cap * math.sqrt(base / (2.0 * (k * (alpha - eps1) + 1.0)))
+    eps3 = params.cap * math.sqrt(base / (2.0 * k))
     return CertificateMargins(eps1, eps2, eps3)
 
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .weights import as_fraction
+from .engine import TrainConfig, TrimmedMean, participants_per_round
+from .tasks import OneHiddenMLP
+from .weights import Truncate, TruncationQuery, as_fraction
 
 PREPROCESS_TOKENS = ("passthrough", "truncate", "ignore")
 AGGREGATOR_TOKENS = ("mean", "median", "trimmed")
@@ -70,8 +72,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.alpha = as_fraction(self.alpha)
-        self.alpha_star = as_fraction(self.alpha_star)
+        # These values are checked here because their only other owners
+        # generate data, and a config is proved before anything runs.
         if self.classes < 1 or self.dim < self.classes:
             raise ConfigError("need 1 <= classes <= dim")
         if self.train_samples < self.clients or self.clients < 1:
@@ -80,40 +82,24 @@ class ExperimentConfig:
             raise ConfigError("test_samples must be positive")
         if self.model_kind not in MODEL_TOKENS:
             raise ConfigError(f"model kind must be one of {MODEL_TOKENS}")
-        if self.hidden < 1:
-            raise ConfigError("hidden must be positive")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.rounds < 0 or self.epochs < 1:
-            raise ConfigError("rounds >= 0 and epochs >= 1 required")
-        if isinstance(self.batch_size, float):
-            if not 0 < self.batch_size <= 1:
-                raise ConfigError("fractional batch_size outside (0, 1]")
-        elif self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not self.eta > 0:
-            raise ConfigError("eta must be positive")
-        if isinstance(self.clients_per_round, int) and not (
-            1 <= self.clients_per_round <= self.clients
-        ):
-            raise ConfigError("clients_per_round outside [1, clients]")
-        if isinstance(self.clients_per_round, float) and not (
-            0 < self.clients_per_round <= 1
-        ):
-            raise ConfigError("fractional clients_per_round outside (0, 1]")
         _check_tokens(self.preprocess_modes, PREPROCESS_TOKENS, "preprocess mode")
         _check_tokens(self.aggregator_kinds, AGGREGATOR_TOKENS, "aggregator kind")
         _check_tokens(self.scenarios, SCENARIO_TOKENS, "attack scenario")
-        if not 0 < self.alpha <= 1:
-            raise ConfigError("alpha must lie in (0, 1]")
-        if not 0 < self.alpha_star < 1:
-            raise ConfigError("alpha_star must lie in (0, 1)")
-        if not 0 <= self.beta < 0.5:
-            raise ConfigError("beta must lie in [0, 1/2)")
         if not 0 < self.attacker_fraction < 1:
             raise ConfigError("attacker fraction must lie in (0, 1)")
         if self.declared_single < 1 or self.declared_fraction < 1:
             raise ConfigError("declared sizes must be positive")
+        # Every other value is proved by building the type that uses it, for
+        # every model kind and mode, so no rule is restated here.
+        try:
+            query = TruncationQuery(self.alpha, self.alpha_star)
+            aggregator = TrimmedMean(self.beta)
+            TrainConfig(self.rounds, self.eta, self.epochs, self.batch_size, Truncate(query), aggregator)
+            OneHiddenMLP(self.dim, self.hidden, self.classes, self.dropout)
+            participants_per_round(self.clients_per_round, self.clients)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.alpha, self.alpha_star = query.alpha, query.alpha_star
 
 
 def _check_tokens(values, allowed, what) -> None:
@@ -228,12 +214,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             attr, kind = _SCHEMA[section][key]
             values[attr] = _parse_value(raw, kind, f"[{section}] {key}")
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def read_config(path) -> ExperimentConfig:

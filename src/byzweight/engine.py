@@ -90,7 +90,9 @@ class TrimmedMean:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.beta < 0.5:
+        if self.beta >= 0.5:
+            raise AllMassTrimmed(f"beta={self.beta} leaves no surviving weight mass")
+        if not self.beta >= 0:
             raise ValueError(f"beta must lie in [0, 1/2), got {self.beta}")
 
 
@@ -254,10 +256,7 @@ def aggregate_trimmed_mean(
     weight inside the surviving band, so the trimmed mass is exactly
     beta * total on each side.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta >= 0.5:
-        raise AllMassTrimmed(f"beta={beta} leaves no surviving weight mass")
+    TrimmedMean(beta)
     u, wt = _as_arrays(updates, weights)
     total = wt.sum()
     if total <= 0:
@@ -284,6 +283,27 @@ def aggregate(
     raise TypeError(f"unknown aggregator {kind!r}")
 
 
+def participants_per_round(
+    clients_per_round: Optional[Union[int, float]], population: int
+) -> int:
+    """How many clients take part in each round.
+
+    None means everyone; an int is a count in [1, population]; a float in
+    (0, 1] is a fraction of the population, rounded up.
+    """
+    if clients_per_round is None:
+        return population
+    m = clients_per_round
+    if isinstance(m, float):
+        # also keeps NaN and infinities away from ceil
+        if not 0 < m <= 1:
+            raise ValueError(f"fractional clients_per_round {m} outside (0, 1]")
+        m = math.ceil(m * population)
+    if not 1 <= m <= population:
+        raise ValueError(f"clients_per_round {m} outside [1, {population}]")
+    return m
+
+
 def select_clients(
     round_index: int,
     population: int,
@@ -291,15 +311,7 @@ def select_clients(
     master_seed: int,
 ) -> tuple[int, ...]:
     """Ids participating this round, ascending; uniform without replacement."""
-    if clients_per_round is None:
-        return tuple(range(population))
-    m = clients_per_round
-    if isinstance(m, float):
-        if not 0 < m <= 1:
-            raise ValueError("fractional participation must lie in (0, 1]")
-        m = math.ceil(m * population)
-    if not 1 <= m <= population:
-        raise ValueError(f"clients_per_round {m} outside [1, {population}]")
+    m = participants_per_round(clients_per_round, population)
     if m == population:
         return tuple(range(population))
     rng = stream(master_seed, _TAG_SELECT, round_index)

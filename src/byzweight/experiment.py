@@ -2,9 +2,9 @@
 
 A cell is one (preprocess mode, aggregator, attack scenario) combination.
 Cells share the same data, partition, and master seed, so any difference
-between their metric files comes from the cell axes alone.  Each cell is
-rebuilt from the serialized config inside its worker, which keeps parallel
-runs byte-identical to sequential ones.
+between their metric files comes from the cell axes alone.  The task is
+built once per grid and handed to every cell; a cell draws only from its own
+seeded streams, which keeps parallel runs byte-identical to sequential ones.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ExperimentConfig
 from .engine import (
     Behavior,
     ClientSpec,
@@ -155,9 +157,9 @@ class CellResult:
 
 
 def run_cell(
-    cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str
+    cfg: ExperimentConfig, shards, test, preprocess: str, aggregator: str, attack: str
 ) -> CellResult:
-    shards, test = build_task(cfg)
+    """Train one cell on the task that build_task(cfg) returned."""
     clients = build_clients(cfg, attack, shards)
     model = build_model(cfg)
     train_cfg = TrainConfig(
@@ -178,11 +180,6 @@ def run_cell(
         return CellResult(preprocess, aggregator, attack, math.nan, ())
     final = metrics[-1].test_accuracy if metrics else math.nan
     return CellResult(preprocess, aggregator, attack, final, tuple(metrics))
-
-
-def _run_cell_from_text(args: tuple[str, str, str, str]) -> CellResult:
-    text, preprocess, aggregator, attack = args
-    return run_cell(parse_config(text), preprocess, aggregator, attack)
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, str, str]]:
@@ -207,15 +204,11 @@ def run_grid(
     """Run every cell, write one metrics CSV each plus summary.csv."""
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    cells = grid_cells(cfg)
-    if jobs > 1:
-        text = serialize_config(cfg)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_run_cell_from_text, [(text, p, a, s) for p, a, s in cells])
-            )
-    else:
-        results = [run_cell(cfg, p, a, s) for p, a, s in cells]
+    shards, test = build_task(cfg)
+    axes = zip(*grid_cells(cfg))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        cell_map = map if pool is None else pool.map
+        results = list(cell_map(run_cell, repeat(cfg), repeat(shards), repeat(test), *axes))
     for r in results:
         write_metrics_csv(
             os.path.join(out, metrics_filename(r.preprocess, r.aggregator, r.attack)),

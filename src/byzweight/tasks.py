@@ -11,7 +11,7 @@ needs no autodiff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -214,6 +214,8 @@ class OneHiddenMLP:
     dropout_rate: float = 0.2
 
     def __post_init__(self) -> None:
+        if self.hidden < 1:
+            raise ValueError("hidden must be positive")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
 

@@ -68,10 +68,9 @@ class WeightVector:
     @classmethod
     def from_values(cls, values: Iterable[int], ids: Iterable[int] | None = None) -> "WeightVector":
         vals = list(values)
-        if ids is None:
-            ids = range(len(vals))
-        pairs = sorted(zip(vals, ids), key=lambda p: p[0])  # stable: ties keep input order
-        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        ids = range(len(vals)) if ids is None else list(ids)
+        order = sorted(range(len(vals)), key=vals.__getitem__)  # stable: ties keep input order
+        return cls(tuple(map(vals.__getitem__, order)), tuple(map(ids.__getitem__, order)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -223,9 +222,7 @@ def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]
     the sort.  Grid points where no cap can meet the limit are skipped; the
     sweep stops once the raw vector satisfies the limit on its own.
     """
-    limit = as_fraction(alpha_star)
-    if not 0 < limit < 1:
-        raise ValueError(f"alpha_star must lie in (0, 1), got {limit}")
+    limit = TruncationQuery(1, alpha_star).alpha_star
     k = len(v)
     p, q = limit.numerator, limit.denominator
     prefix = list(accumulate(v.values, initial=0))

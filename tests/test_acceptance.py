@@ -21,7 +21,7 @@ from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.certificate import CertificateParams, false_certification_rate
 from byzweight.engine import aggregate_trimmed_mean, aggregate_weighted_median
-from byzweight.experiment import run_cell
+from byzweight.experiment import build_task, run_cell
 from byzweight.tasks import (
     Dataset,
     OneHiddenMLP,
@@ -338,7 +338,7 @@ COLLAPSE = 1 / 10 + 0.05  # chance level for 10 classes plus slack
 
 def _cell_worker(cell):
     cfg = parse_config(ACCEPT_CONFIG)
-    return cell, run_cell(cfg, *cell).final_accuracy
+    return cell, run_cell(cfg, *build_task(cfg), *cell).final_accuracy
 
 
 @pytest.fixture(scope="module")

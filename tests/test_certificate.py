@@ -21,8 +21,8 @@ from byzweight.certificate import (
 from byzweight.weights import WeightVector
 
 
-def params(k=200, alpha=F(1, 5), alpha_star=F(1, 2), delta=0.05, cap=4, **kw):
-    return CertificateParams(k, alpha, alpha_star, delta, cap, **kw)
+def params(k=200, alpha=F(1, 5), alpha_star=F(1, 2), delta=0.05, cap=4):
+    return CertificateParams(k, alpha, alpha_star, delta, cap)
 
 
 def test_margin_hand_value():
@@ -61,14 +61,6 @@ def test_margins_monotone_in_sample_size_and_cap():
     small, big = margins(params(cap=2, alpha=F(1, 2))), margins(params(cap=20, alpha=F(1, 2)))
     assert big.eps2 > small.eps2 and big.eps3 > small.eps3
     assert big.eps1 == small.eps1
-
-
-def test_printed_log_variant_shrinks_tail_margins():
-    plain = margins(params(alpha=F(1, 2)))
-    printed = margins(params(alpha=F(1, 2), use_printed_log_term=True))
-    assert printed.eps1 == plain.eps1
-    assert printed.eps2 < plain.eps2
-    assert printed.eps3 < plain.eps3
 
 
 def test_trimmed_window_start_exact_boundary():

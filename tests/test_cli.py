@@ -181,6 +181,7 @@ OWNER_ROUTES = {
     "clients_per_round": [lambda v: select_clients(1, 100, v, 0)],
     "beta": [lambda v: TrimmedMean(v)],
     "dropout": [lambda v: OneHiddenMLP(20, 32, 10, v)],
+    "hidden": [lambda v: OneHiddenMLP(20, v, 10, 0.2)],
 }
 
 

@@ -376,6 +376,39 @@ def test_ignore_mode_weights_everyone_equally():
     assert seen[0][2] == (1,) * 6
 
 
+def test_sample_budget_is_the_preprocessed_weight():
+    # With honest_use_all_samples = false every client that trains, label-shift
+    # attackers included, uses one fixed subset of min(weight, rows) samples
+    # for the whole run; under ignore that is a single sample.
+    seen = []
+
+    class Recording(ScalarQuadratic):
+        def gradient(self, w, batch, dropout_rng=None):
+            seen.append((int(batch.features[0, 0]), sorted(batch.features[:, 1].tolist())))
+            return super().gradient(w, batch, dropout_rng)
+
+    clients = []
+    for cid, n in enumerate((3, 4, 5, 6)):
+        rows = Dataset(np.column_stack([np.full(n, cid), np.arange(n)]), np.zeros(n, dtype=np.int64))
+        if cid == 3:
+            clients.append(ClientSpec(cid, rows, 100, Behavior.LABEL_SHIFT))
+        else:
+            clients.append(ClientSpec(cid, rows, n))
+    for mode, use_all, budget in (
+        (Passthrough(), False, [3, 4, 5, 6]),
+        (Ignore(), False, [1, 1, 1, 1]),
+        (Ignore(), True, [3, 4, 5, 6]),
+        (Truncate(TruncationQuery("1/2", "1/2")), False, [3, 3, 3, 3]),  # cap 3
+    ):
+        seen.clear()
+        cfg = toy_config(rounds=2, batch_size=100, preprocess=mode, honest_use_all_samples=use_all)
+        run_training(Recording(), clients, clients[0].data, cfg)
+        first, second = seen[:4], seen[4:]
+        assert [cid for cid, _ in first] == [0, 1, 2, 3]
+        assert [len(used) for _, used in first] == budget
+        assert first == second
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_flagged_and_terminal():
     model = ScalarQuadratic()
