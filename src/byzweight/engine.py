@@ -256,7 +256,7 @@ def aggregate_trimmed_mean(
     weight inside the surviving band, so the trimmed mass is exactly
     beta * total on each side.
     """
-    TrimmedMean(beta)
+    TrimmedMean(beta)  # refuses beta outside [0, 1/2)
     u, wt = _as_arrays(updates, weights)
     total = wt.sum()
     if total <= 0:
