@@ -7,6 +7,14 @@ Attackers either negate the server model each round or train on flipped
 labels.  All randomness is drawn from streams keyed on
 (master_seed, purpose, round, client), so results are bit-identical no matter
 how client work is scheduled.
+
+A stream is built only where something is drawn from it: the init stream
+once per run; the select stream in a round where only some clients take
+part; per training client, the subset stream when it trains on fewer rows
+than it holds, and per (round, training client) the shuffle stream when it
+trains on more than one row and the dropout stream when the model has a
+positive dropout_rate.  Each purpose has its own tag, so a stream left
+unbuilt changes no other draw.
 """
 
 from __future__ import annotations
@@ -187,24 +195,39 @@ def client_update(
     every sample contributes 1/batch_size of its gradient exactly once per
     epoch.  Label-shift attackers remap y to (classes-1)-y and then train
     like anyone else.
+
+    Two streams are keyed on (round, client).  The shuffle stream draws one
+    permutation per epoch; a one-row client builds none, since its order is
+    always [0].  The dropout stream is built only for a model with a
+    positive dropout_rate, which draws one mask per batch from it.  Neither
+    stream feeds anything else, so skipping one changes no other draw.
     """
     if client.behavior is Behavior.MODEL_NEGATION:
         raise ValueError("model-negation attackers do not run local training")
     data = _usable_data(client, cfg, effective_size)
+    features, labels = data.features, data.labels
     if client.behavior is Behavior.LABEL_SHIFT:
-        data = Dataset(data.features, (model.classes - 1) - data.labels)
-    shuffle_rng = stream(cfg.master_seed, _TAG_SHUFFLE, round_index, client.id)
-    dropout_rng = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id)
+        labels = (model.classes - 1) - labels
     n, b = len(data), cfg.batch_size
     if isinstance(b, float):
         b = max(1, math.ceil(b * n))
+    shuffle_rng = None
+    if n > 1:
+        shuffle_rng = stream(cfg.master_seed, _TAG_SHUFFLE, round_index, client.id)
+    dropout_rng = None
+    if getattr(model, "dropout_rate", 0) > 0:
+        dropout_rng = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id)
     w = np.array(w, dtype=float)
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
+        x, y = features, labels
+        if shuffle_rng is not None:
+            # one gather per epoch; each batch is then a contiguous slice
+            order = shuffle_rng.permutation(n)
+            x, y = features[order], labels[order]
         for start in range(0, n, b):
-            chunk = order[start : start + b]
-            grad = model.gradient(w, data.subset(chunk), dropout_rng)
-            w = w - cfg.eta * (len(chunk) / b) * grad
+            batch = Dataset(x[start : start + b], y[start : start + b])
+            grad = model.gradient(w, batch, dropout_rng)
+            w = w - cfg.eta * (len(batch) / b) * grad
     return w
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -198,17 +197,36 @@ def summary_csv(results: list[CellResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a pool worker's (shards, test), handed over once by _init_worker
+_worker_task = None
+
+
+def _init_worker(shards, test) -> None:
+    global _worker_task
+    _worker_task = (shards, test)
+
+
+def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str):
+    return run_cell(cfg, *_worker_task, preprocess, aggregator, attack)
+
+
 def run_grid(
     cfg: ExperimentConfig, out_dir: Optional[str] = None, jobs: int = 1
 ) -> list[CellResult]:
-    """Run every cell, write one metrics CSV each plus summary.csv."""
+    """Run every cell, write one metrics CSV each plus summary.csv.
+
+    With jobs > 1 each pool worker receives the task once, when it starts,
+    rather than with every cell.
+    """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
     shards, test = build_task(cfg)
     axes = zip(*grid_cells(cfg))
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        cell_map = map if pool is None else pool.map
-        results = list(cell_map(run_cell, repeat(cfg), repeat(shards), repeat(test), *axes))
+    if jobs > 1:
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(shards, test)) as pool:
+            results = list(pool.map(_run_cell_in_worker, repeat(cfg), *axes))
+    else:
+        results = list(map(run_cell, repeat(cfg), repeat(shards), repeat(test), *axes))
     for r in results:
         write_metrics_csv(
             os.path.join(out, metrics_filename(r.preprocess, r.aggregator, r.attack)),

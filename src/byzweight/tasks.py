@@ -206,6 +206,8 @@ class OneHiddenMLP:
     drawn from the supplied stream; evaluation mode runs the deterministic
     network with activations scaled by the keep probability.  A paired
     loss/gradient evaluation shares a mask by receiving equal-state streams.
+    At dropout_rate 0 the two modes are the same network and no mask is
+    drawn, so the stream is not advanced.
     """
 
     dim: int
@@ -244,11 +246,13 @@ class OneHiddenMLP:
         b2 = w[off:]
         return w1, b1, w2, b2
 
-    def _forward(self, w, features, dropout_rng):
-        w1, b1, w2, b2 = self._unpack(w)
+    def _forward(self, params, features, dropout_rng):
+        w1, b1, w2, b2 = params
         pre = features @ w1 + b1
         act = np.maximum(pre, 0.0)
-        if dropout_rng is not None:
+        # at rate 0 the mask is all true, and act * True == act * 1.0 bit for
+        # bit, so the stream is left undrawn
+        if dropout_rng is not None and self.dropout_rate > 0:
             mask = dropout_rng.random(act.shape) >= self.dropout_rate
             hidden = act * mask
         else:
@@ -259,15 +263,15 @@ class OneHiddenMLP:
 
     def loss(self, w, batch: Dataset, dropout_rng=None) -> float:
         _check_batch(self, batch)
-        logits = self._forward(w, batch.features, dropout_rng)[-1]
+        logits = self._forward(self._unpack(w), batch.features, dropout_rng)[-1]
         logp = _log_softmax(logits)
         return float(-logp[np.arange(len(batch)), batch.labels].mean())
 
     def gradient(self, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
         _check_batch(self, batch)
         n = len(batch)
-        w1, b1, w2, b2 = self._unpack(w)
-        pre, act, mask, hidden, logits = self._forward(w, batch.features, dropout_rng)
+        w1, b1, w2, b2 = params = self._unpack(w)
+        pre, act, mask, hidden, logits = self._forward(params, batch.features, dropout_rng)
         scores = _softmax(logits)
         scores[np.arange(n), batch.labels] -= 1.0
         scores /= n
@@ -286,7 +290,7 @@ class OneHiddenMLP:
         )
 
     def predict(self, w, features: np.ndarray) -> np.ndarray:
-        return self._forward(w, features, None)[-1].argmax(axis=1)
+        return self._forward(self._unpack(w), features, None)[-1].argmax(axis=1)
 
 
 Model = Union[SoftmaxRegression, OneHiddenMLP]

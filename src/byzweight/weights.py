@@ -69,6 +69,8 @@ class WeightVector:
     def from_values(cls, values: Iterable[int], ids: Iterable[int] | None = None) -> "WeightVector":
         vals = list(values)
         ids = range(len(vals)) if ids is None else list(ids)
+        if len(ids) != len(vals):
+            raise ValueError(f"{len(ids)} ids for {len(vals)} values")
         order = sorted(range(len(vals)), key=vals.__getitem__)  # stable: ties keep input order
         return cls(tuple(map(vals.__getitem__, order)), tuple(map(ids.__getitem__, order)))
 

@@ -72,6 +72,14 @@ def test_defaults_round_trip():
     assert serialize_config(parse_config(text)) == text
 
 
+def test_readme_config_block_is_the_defaults():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("## Config format", 1)[1]
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == ExperimentConfig()
+
+
 def test_partial_file_fills_defaults():
     cfg = parse_config(SMALL)
     assert cfg.dim == 6 and cfg.clients == 8

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from byzweight import engine
 from byzweight.engine import (
     AllMassTrimmed,
     Behavior,
@@ -29,7 +30,13 @@ from byzweight.engine import (
     select_clients,
     stream,
 )
-from byzweight.tasks import Dataset, SoftmaxRegression, generate_blobs, split_by_sizes
+from byzweight.tasks import (
+    Dataset,
+    OneHiddenMLP,
+    SoftmaxRegression,
+    generate_blobs,
+    split_by_sizes,
+)
 from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery
 
 
@@ -125,6 +132,43 @@ def test_fractional_batch_size_resolves_per_client():
     one = ClientSpec(0, scalar_data(1.0), 1)
     w = client_update(ScalarQuadratic(), np.zeros(1), one, toy_config(batch_size=0.25), 1)
     assert w[0] == pytest.approx(0.1, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model, drops",
+    [
+        (SoftmaxRegression(dim=4, classes=3), False),
+        (OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.0), False),
+        (OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.3), True),
+    ],
+    ids=["softmax", "mlp_no_dropout", "mlp_dropout"],
+)
+def test_streams_built_only_where_drawn(monkeypatch, model, drops):
+    # one-row shards draw no shuffle; only a model that drops units gets a
+    # dropout stream, and then exactly one per (round, client)
+    built = []
+
+    def spy(*keys):
+        built.append(keys)
+        return stream(*keys)
+
+    monkeypatch.setattr(engine, "stream", spy)
+    sizes = (1, 4, 1, 7, 2, 1)
+    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
+    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
+    clients[4] = ClientSpec(4, shards[4], 50, Behavior.LABEL_SHIFT)
+    cfg = toy_config(rounds=2, epochs=2, batch_size=2, master_seed=9)
+    run_training(model, clients, shards[0], cfg)
+
+    def keys_of(tag):
+        return sorted(k[2:] for k in built if k[:2] == (9, tag))
+
+    rounds = (1, 2)
+    assert keys_of(engine._TAG_SHUFFLE) == [
+        (t, cid) for t in rounds for cid, n in enumerate(sizes) if n > 1
+    ]
+    expected = [(t, cid) for t in rounds for cid in range(len(sizes))] if drops else []
+    assert keys_of(engine._TAG_DROPOUT) == expected
 
 
 def test_label_shift_trains_on_flipped_labels():

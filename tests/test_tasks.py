@@ -247,7 +247,11 @@ def test_mlp_dropout_stream_pairing():
     # with no dropped units, training equals the unscaled network; evaluation
     # scales activations by the keep probability and stays deterministic
     plain = OneHiddenMLP(dim=4, hidden=8, classes=3, dropout_rate=0.0)
-    assert plain.loss(w, batch, np.random.default_rng(7)) == plain.loss(w, batch, None)
+    rng = np.random.default_rng(7)
+    assert plain.loss(w, batch, rng) == plain.loss(w, batch, None)
+    assert np.array_equal(plain.gradient(w, batch, rng), plain.gradient(w, batch, None))
+    # so no mask is drawn and the stream is left where it was
+    assert rng.random() == np.random.default_rng(7).random()
 
 
 def test_client_objective_is_eval_loss():

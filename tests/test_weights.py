@@ -54,6 +54,9 @@ def test_constructor_rejects_bad_input():
         WeightVector.from_values([-1, 2])
     with pytest.raises(ValueError):
         WeightVector((1, 2), (0,))  # ids length mismatch
+    for ids in ([0, 1, 2, 3], [0, 1]):
+        with pytest.raises(ValueError):
+            WeightVector.from_values([3, 1, 2], ids)
 
 
 # ------------------------------------------------------------------- top_share
