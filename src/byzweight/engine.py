@@ -196,18 +196,16 @@ def client_update(
     epoch.  Label-shift attackers remap y to (classes-1)-y and then train
     like anyone else.
 
-    Two streams are keyed on (round, client).  The shuffle stream draws one
-    permutation per epoch; a one-row client builds none, since its order is
-    always [0].  The dropout stream is built only for a model with a
-    positive dropout_rate, which draws one mask per batch from it.  Neither
-    stream feeds anything else, so skipping one changes no other draw.
+    Streams keyed on (round, client): the shuffle stream, one permutation
+    per epoch, unless the client trains on one row (whose order is always
+    [0]); the dropout stream, one mask per batch, only for a model with a
+    positive dropout_rate.
     """
     if client.behavior is Behavior.MODEL_NEGATION:
         raise ValueError("model-negation attackers do not run local training")
     data = _usable_data(client, cfg, effective_size)
-    features, labels = data.features, data.labels
     if client.behavior is Behavior.LABEL_SHIFT:
-        labels = (model.classes - 1) - labels
+        data = Dataset(data.features, (model.classes - 1) - data.labels)
     n, b = len(data), cfg.batch_size
     if isinstance(b, float):
         b = max(1, math.ceil(b * n))
@@ -219,13 +217,10 @@ def client_update(
         dropout_rng = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id)
     w = np.array(w, dtype=float)
     for _ in range(cfg.epochs):
-        x, y = features, labels
-        if shuffle_rng is not None:
-            # one gather per epoch; each batch is then a contiguous slice
-            order = shuffle_rng.permutation(n)
-            x, y = features[order], labels[order]
+        # one gather per epoch; each batch is then a contiguous slice
+        rows = data if shuffle_rng is None else data.subset(shuffle_rng.permutation(n))
         for start in range(0, n, b):
-            batch = Dataset(x[start : start + b], y[start : start + b])
+            batch = Dataset(rows.features[start : start + b], rows.labels[start : start + b])
             grad = model.gradient(w, batch, dropout_rng)
             w = w - cfg.eta * (len(batch) / b) * grad
     return w

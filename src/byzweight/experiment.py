@@ -215,8 +215,7 @@ def run_grid(
 ) -> list[CellResult]:
     """Run every cell, write one metrics CSV each plus summary.csv.
 
-    With jobs > 1 each pool worker receives the task once, when it starts,
-    rather than with every cell.
+    With jobs > 1 each pool worker receives the task once, when it starts.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
