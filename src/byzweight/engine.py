@@ -10,11 +10,12 @@ how client work is scheduled.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
-part; per training client, the subset stream when it trains on fewer rows
-than it holds, and per (round, training client) the shuffle stream when it
-trains on more than one row and the dropout stream when the model has a
-positive dropout_rate.  Each purpose has its own tag, so a stream left
-unbuilt changes no other draw.
+part; and per (round, training client) the subset stream when the client
+trains on fewer rows than it holds (keyed on the client alone, so every
+round draws the same subset), the shuffle stream when it trains on more
+than one row, and the dropout stream when the model has a positive
+dropout_rate.  Each purpose has its own tag, so a stream left unbuilt
+changes no other draw.
 """
 
 from __future__ import annotations
