@@ -8,14 +8,17 @@ labels.  All randomness is drawn from streams keyed on
 (master_seed, purpose, round, client), so results are bit-identical no matter
 how client work is scheduled.
 
+A round's clients train in lockstep (client_update), which changes no bit,
+and their updates form one matrix in ascending client id that the
+aggregators read as it is.
+
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
-part; and per (round, training client) the subset stream when the client
-trains on fewer rows than it holds (keyed on the client alone, so every
-round draws the same subset), the shuffle stream when it trains on more
-than one row, and the dropout stream when the model has a positive
-dropout_rate.  Each purpose has its own tag, so a stream left unbuilt
-changes no other draw.
+part; the subset stream once per run for each client that trains on fewer
+rows than it holds (keyed on the client alone); and per (round, training
+client) the shuffle stream when it trains on more than one row, and the
+dropout stream when the model has a positive dropout_rate.  Each purpose has
+its own tag, so a stream left unbuilt changes no other draw.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ _TAG_SELECT = 2
 _TAG_SHUFFLE = 3
 _TAG_DROPOUT = 4
 _TAG_SUBSET = 5
+
+_STACK_ROWS = 256  # rows per stacked gradient call; larger stacks fall out of cache
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -169,96 +174,120 @@ def byzantine_update(behavior: Behavior, w_server: np.ndarray) -> np.ndarray:
     return -w_server
 
 
-def _usable_data(client: ClientSpec, cfg: TrainConfig, effective_size: Optional[int]) -> Dataset:
+def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: int):
+    """The rows a client trains on in every round; None for a model-negation
+    attacker.  Without honest_use_all_samples, a fixed subset of at most
+    effective_size rows; under label shift, labels y become (classes-1)-y."""
+    if client.behavior is Behavior.MODEL_NEGATION:
+        return None
     data = client.data
-    if not cfg.honest_use_all_samples and effective_size is not None:
+    if not cfg.honest_use_all_samples:
         keep = min(effective_size, len(data))
         if keep < len(data):
-            # fixed per-client subset, stable across rounds
             rng = stream(cfg.master_seed, _TAG_SUBSET, client.id)
             idx = rng.permutation(len(data))[:keep]
             data = data.subset(np.sort(idx))
+    if client.behavior is Behavior.LABEL_SHIFT:
+        data = Dataset(data.features, (model.classes - 1) - data.labels)
     return data
 
 
 def client_update(
-    model,
-    w: np.ndarray,
-    client: ClientSpec,
-    cfg: TrainConfig,
-    round_index: int,
-    effective_size: Optional[int] = None,
+    model, w: np.ndarray, clients: Sequence[ClientSpec], rows: Sequence[Optional[Dataset]],
+    cfg: TrainConfig, round_index: int,
 ) -> np.ndarray:
-    """Local mini-batch SGD for one round on one client.
+    """One round of local work; row i of the result is client i's update.
 
-    Runs cfg.epochs passes over the client's usable samples; a short final
+    A model-negation attacker's row is -w.  Every other client runs
+    cfg.epochs passes of mini-batch SGD from w over rows[i]; a short final
     batch of r samples steps with its gradient scaled by r/batch_size, so
-    every sample contributes 1/batch_size of its gradient exactly once per
-    epoch.  Label-shift attackers remap y to (classes-1)-y and then train
-    like anyone else.
+    every sample contributes 1/batch_size of its gradient once per epoch.
 
-    Streams keyed on (round, client): the shuffle stream, one permutation
-    per epoch, unless the client trains on one row (whose order is always
-    [0]); the dropout stream, one mask per batch, only for a model with a
-    positive dropout_rate.
+    The clients step in lockstep, and at each step the batches of equal
+    length share stacked model.gradient calls.  No bit can change: each
+    client keeps its own parameters, rows and streams, steps by the same
+    Python float eta * (r / batch_size), and a stacked product computes each
+    slice as a call on that slice alone.  Streams keyed on (round, client),
+    drawn in the client's batch order: shuffle, one permutation per epoch,
+    for more than one row; dropout, one mask per batch, if dropout_rate > 0.
     """
-    if client.behavior is Behavior.MODEL_NEGATION:
-        raise ValueError("model-negation attackers do not run local training")
-    data = _usable_data(client, cfg, effective_size)
-    if client.behavior is Behavior.LABEL_SHIFT:
-        data = Dataset(data.features, (model.classes - 1) - data.labels)
-    n, b = len(data), cfg.batch_size
-    if isinstance(b, float):
-        b = max(1, math.ceil(b * n))
-    shuffle_rng = None
-    if n > 1:
-        shuffle_rng = stream(cfg.master_seed, _TAG_SHUFFLE, round_index, client.id)
-    dropout_rng = None
-    if getattr(model, "dropout_rate", 0) > 0:
-        dropout_rng = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id)
-    w = np.array(w, dtype=float)
+    updates = np.tile(w, (len(clients), 1))
+    drops = getattr(model, "dropout_rate", 0) > 0
+    lanes = []  # (row, rows, n, batch size, shuffle stream, dropout stream)
+    for i, (client, data) in enumerate(zip(clients, rows)):
+        if data is None:
+            updates[i] = byzantine_update(client.behavior, w)
+            continue
+        n = len(data)
+        b = cfg.batch_size
+        if isinstance(b, float):
+            b = max(1, math.ceil(b * n))
+        shuffle = stream(cfg.master_seed, _TAG_SHUFFLE, round_index, client.id) if n > 1 else None
+        dropout = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id) if drops else None
+        lanes.append((i, data, n, b, shuffle, dropout))
     for _ in range(cfg.epochs):
         # one gather per epoch; each batch is then a contiguous slice
-        rows = data if shuffle_rng is None else data.subset(shuffle_rng.permutation(n))
-        for start in range(0, n, b):
-            batch = Dataset(rows.features[start : start + b], rows.labels[start : start + b])
-            grad = model.gradient(w, batch, dropout_rng)
-            w = w - cfg.eta * (len(batch) / b) * grad
-    return w
+        active = [
+            (i, data if shuffle is None else data.subset(shuffle.permutation(n)), n, b, dropout)
+            for i, data, n, b, shuffle, dropout in lanes
+        ]
+        step = 0
+        while active:
+            groups: dict[int, list] = {}
+            for i, data, n, b, dropout in active:
+                start = step * b
+                groups.setdefault(min(b, n - start), []).append((i, data, start, b, dropout))
+            for length, group in groups.items():
+                per = max(1, _STACK_ROWS // length)
+                for k in range(0, len(group), per):
+                    _step(model, updates, group[k : k + per], length, cfg.eta, drops)
+            step += 1
+            active = [(i, d, n, b, r) for i, d, n, b, r in active if step * b < n]
+    return updates
 
 
-def _as_arrays(updates: Sequence[np.ndarray], weights: Sequence[float]):
-    if len(updates) == 0 or len(updates) != len(weights):
+def _step(model, updates: np.ndarray, lanes, length: int, eta: float, drops: bool) -> None:
+    """One SGD step for each lane, through one stacked gradient call."""
+    idx, data, starts, sizes, rngs = map(list, zip(*lanes))
+    x = np.concatenate([d.features[s : s + length] for d, s in zip(data, starts)])
+    y = np.concatenate([d.labels[s : s + length] for d, s in zip(data, starts)])
+    stack = Dataset(x.reshape(len(idx), length, -1), y.reshape(len(idx), length))
+    # consecutive rows are stepped in place; others are gathered and put back
+    rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
+    w_stack = updates[rows]
+    grad = model.gradient(w_stack, stack, rngs if drops else None)
+    # f * g == g * f bit for bit; in place to keep temporaries few
+    grad *= np.array([eta * (length / b) for b in sizes])[:, None]
+    w_stack -= grad
+    updates[rows] = w_stack
+
+
+def _as_arrays(updates, weights: Sequence[float]):
+    # updates: the round's (n, P) matrix, read as it is, or n parameter vectors
+    u = np.asarray(updates, dtype=float)
+    if u.ndim != 2 or len(u) == 0 or len(u) != len(weights):
         raise ValueError("need equally many updates and weights, at least one")
-    u = np.stack([np.asarray(x, dtype=float) for x in updates])
     wt = np.asarray(weights, dtype=float)
     if np.any(wt < 0):
         raise ValueError("weights must be non-negative")
-    return u, wt
-
-
-def aggregate_weighted_mean(
-    updates: Sequence[np.ndarray], weights: Sequence[float]
-) -> np.ndarray:
-    u, wt = _as_arrays(updates, weights)
     total = wt.sum()
     if total <= 0:
         raise WeightSumZero("total aggregation weight is zero")
+    return u, wt, total
+
+
+def aggregate_weighted_mean(updates, weights: Sequence[float]) -> np.ndarray:
+    u, wt, total = _as_arrays(updates, weights)
     return (wt[:, None] * u).sum(axis=0) / total
 
 
-def aggregate_weighted_median(
-    updates: Sequence[np.ndarray], weights: Sequence[float]
-) -> np.ndarray:
+def aggregate_weighted_median(updates, weights: Sequence[float]) -> np.ndarray:
     """Coordinatewise weighted lower median.
 
     Per coordinate: the smallest value whose cumulative weight, over values
     sorted ascending, reaches half the total.
     """
-    u, wt = _as_arrays(updates, weights)
-    total = wt.sum()
-    if total <= 0:
-        raise WeightSumZero("total aggregation weight is zero")
+    u, wt, total = _as_arrays(updates, weights)
     order = np.argsort(u, axis=0, kind="stable")
     ranked = np.take_along_axis(u, order, axis=0)
     cum = np.cumsum(wt[order], axis=0)
@@ -266,9 +295,7 @@ def aggregate_weighted_median(
     return np.take_along_axis(ranked, pick[None, :], axis=0)[0]
 
 
-def aggregate_trimmed_mean(
-    updates: Sequence[np.ndarray], weights: Sequence[float], beta: float
-) -> np.ndarray:
+def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np.ndarray:
     """Coordinatewise mean after trimming beta of the weight mass per tail.
 
     A client straddling a trim boundary keeps only the fraction of its
@@ -276,23 +303,19 @@ def aggregate_trimmed_mean(
     beta * total on each side.
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
-    u, wt = _as_arrays(updates, weights)
-    total = wt.sum()
-    if total <= 0:
-        raise WeightSumZero("total aggregation weight is zero")
+    u, wt, total = _as_arrays(updates, weights)
     order = np.argsort(u, axis=0, kind="stable")
     ranked = np.take_along_axis(u, order, axis=0)
-    cum = np.cumsum(wt[order], axis=0)
+    lower = wt[order]  # each client's weight, turned in place into where its band starts
+    cum = np.cumsum(lower, axis=0)
     lo, hi = beta * total, (1 - beta) * total
     upper = np.minimum(cum, hi)
-    lower = np.maximum(cum - wt[order], lo)
+    np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
     surviving = np.clip(upper - lower, 0.0, None)
     return (surviving * ranked).sum(axis=0) / (total - 2 * beta * total)
 
 
-def aggregate(
-    kind: Aggregator, updates: Sequence[np.ndarray], weights: Sequence[float]
-) -> np.ndarray:
+def aggregate(kind: Aggregator, updates, weights: Sequence[float]) -> np.ndarray:
     if isinstance(kind, WeightedMean):
         return aggregate_weighted_mean(updates, weights)
     if isinstance(kind, WeightedMedian):
@@ -346,36 +369,29 @@ def run_training(
 ) -> tuple[np.ndarray, list[RoundMetrics]]:
     """The full training loop; returns final parameters and per-round metrics.
 
-    Declared sizes are collected and preprocessed once, before any round
-    runs.  Within a round, updates are computed independently per client and
-    aggregated in ascending client id.  If aggregation ever produces a
-    non-finite parameter, the run stops with a final record flagged
-    non-finite.  on_aggregate, when given, observes each round's
-    (round, selected ids, weights as used) before the model moves.
+    Declared sizes are preprocessed, and each client's training rows built,
+    once before any round runs.  Within a round, client_update writes the
+    selected clients' updates into one matrix in ascending client id, which
+    the aggregator reads.  If aggregation ever produces a non-finite
+    parameter, the run stops with a final record flagged non-finite.
+    on_aggregate, when given, observes each round's (round, selected ids,
+    weights as used) before the model moves.
     """
     clients = sorted(clients, key=lambda c: c.id)
     ids = [c.id for c in clients]
-    if ids != sorted(set(ids)):
-        raise ValueError("client ids must be distinct")
     if ids != list(range(len(clients))):
-        raise ValueError("client ids must be 0..K-1")
+        raise ValueError("client ids must be distinct and 0..K-1")
     declared = WeightVector.from_values([c.declared_size for c in clients], ids)
     weight_of = preprocess(declared, cfg.preprocess).by_id()
 
+    rows = [_training_rows(model, c, cfg, weight_of[c.id]) for c in clients]
     w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
     metrics: list[RoundMetrics] = []
     for t in range(1, cfg.rounds + 1):
         selected = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
-        updates, weights = [], []
-        for cid in selected:
-            client = clients[cid]
-            if client.behavior is Behavior.MODEL_NEGATION:
-                updates.append(byzantine_update(client.behavior, w))
-            else:
-                updates.append(
-                    client_update(model, w, client, cfg, t, effective_size=weight_of[cid])
-                )
-            weights.append(weight_of[cid])
+        chosen = [clients[cid] for cid in selected]
+        updates = client_update(model, w, chosen, [rows[cid] for cid in selected], cfg, t)
+        weights = [weight_of[cid] for cid in selected]
         if on_aggregate is not None:
             on_aggregate(t, selected, tuple(weights))
         w = aggregate(cfg.aggregator, updates, weights)
@@ -383,12 +399,5 @@ def run_training(
         if not np.all(np.isfinite(w)):
             metrics.append(RoundMetrics(t, math.nan, math.nan, norm, finite=False))
             break
-        metrics.append(
-            RoundMetrics(
-                t,
-                accuracy(model, w, testset),
-                model.loss(w, testset),
-                norm,
-            )
-        )
+        metrics.append(RoundMetrics(t, accuracy(model, w, testset), model.loss(w, testset), norm))
     return w, metrics

@@ -9,12 +9,16 @@ seeded streams, which keeps parallel runs byte-identical to sequential ones.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .config import ExperimentConfig
 from .engine import (
@@ -204,6 +208,14 @@ _worker_task = None
 def _init_worker(shards, test) -> None:
     global _worker_task
     _worker_task = (shards, test)
+    # a cell's matrices are small: more BLAS threads per worker only contend.
+    # Without numpy's bundled OpenBLAS and its setter, threads stay as they are.
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str):
@@ -215,7 +227,8 @@ def run_grid(
 ) -> list[CellResult]:
     """Run every cell, write one metrics CSV each plus summary.csv.
 
-    With jobs > 1 each pool worker receives the task once, when it starts.
+    With jobs > 1 each pool worker receives the task once, when it starts,
+    and runs one BLAS thread; jobs = 1 keeps the caller's BLAS setting.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)

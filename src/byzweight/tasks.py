@@ -70,15 +70,18 @@ def generate_partition(spec: PartitionSpec) -> WeightVector:
 
 @dataclass
 class Dataset:
+    """Features (n, d) with labels (n,), or a stack of m batches of L rows
+    for the models' stacked gradient: features (m, L, d), labels (m, L)."""
+
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if self.labels.shape != (self.features.shape[0],):
+        if self.features.ndim not in (2, 3):
+            raise ValueError("features must be a 2-D array or a 3-D stack")
+        if self.labels.shape != self.features.shape[:-1]:
             raise ValueError("labels must align with feature rows")
 
     def __len__(self) -> int:
@@ -86,7 +89,7 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx])
@@ -141,20 +144,35 @@ def split_by_sizes(ds: Dataset, sizes, seed) -> list[Dataset]:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _check_batch(model, batch: Dataset) -> None:
-    if len(batch) == 0:
+def _as_stack(model, w, batch: Dataset, dropout_rng):
+    """(m, P) parameters, (m, L, d) features, (m, L) labels, None or m streams;
+    a 2-D batch, with (P,) parameters and one stream, is the stack of one."""
+    if batch.labels.size == 0:
         raise ValueError("batch must be non-empty")
     if batch.dim != model.dim:
         raise ValueError(f"batch dimension {batch.dim} != model dimension {model.dim}")
+    if batch.features.ndim == 3:
+        return w, batch.features, batch.labels, dropout_rng
+    rngs = None if dropout_rng is None else (dropout_rng,)
+    return w[None], batch.features[None], batch.labels[None], rngs
+
+
+def _cross_entropy_scores(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of each batch's mean cross-entropy in its (m, L, c) logits."""
+    m, n = labels.shape
+    scores = _softmax(logits)
+    scores.reshape(m * n, -1)[np.arange(m * n), labels.ravel()] -= 1.0
+    scores /= n
+    return scores
 
 
 @dataclass(frozen=True)
@@ -171,31 +189,27 @@ class SoftmaxRegression:
     def init_params(self, rng=None) -> np.ndarray:
         return np.zeros(self.param_count)
 
-    def _unpack(self, w: np.ndarray):
-        split = self.dim * self.classes
-        return w[:split].reshape(self.dim, self.classes), w[split:]
-
     def _logits(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
-        weight, bias = self._unpack(w)
-        return features @ weight + bias
+        # w (m, P) and features (m, L, d) give logits (m, L, c)
+        split = self.dim * self.classes
+        weight = w[:, :split].reshape(len(w), self.dim, self.classes)
+        return features @ weight + w[:, None, split:]
 
     def loss(self, w, batch: Dataset, dropout_rng=None) -> float:
-        _check_batch(self, batch)
-        logp = _log_softmax(self._logits(w, batch.features))
+        w, features, _, _ = _as_stack(self, w, batch, dropout_rng)
+        logp = _log_softmax(self._logits(w, features)[0])
         return float(-logp[np.arange(len(batch)), batch.labels].mean())
 
     def gradient(self, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
-        _check_batch(self, batch)
-        n = len(batch)
-        scores = _softmax(self._logits(w, batch.features))
-        scores[np.arange(n), batch.labels] -= 1.0
-        scores /= n
-        grad_w = batch.features.T @ scores
-        grad_b = scores.sum(axis=0)
-        return np.concatenate([grad_w.ravel(), grad_b])
+        """Mean cross-entropy gradient: (m, P) for a stack, (P,) for one batch."""
+        w_stack, features, labels, _ = _as_stack(self, w, batch, dropout_rng)
+        scores = _cross_entropy_scores(self._logits(w_stack, features), labels)
+        grads = [features.swapaxes(1, 2) @ scores, scores.sum(axis=1)]
+        grad = np.concatenate([g.reshape(len(features), -1) for g in grads], axis=1)
+        return grad if batch.features.ndim == 3 else grad[0]
 
     def predict(self, w, features: np.ndarray) -> np.ndarray:
-        return self._logits(w, features).argmax(axis=1)
+        return self._logits(w[None], features[None])[0].argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -203,11 +217,11 @@ class OneHiddenMLP:
     """One hidden ReLU layer with classic dropout.
 
     Training mode multiplies hidden activations by a Bernoulli keep mask
-    drawn from the supplied stream; evaluation mode runs the deterministic
-    network with activations scaled by the keep probability.  A paired
-    loss/gradient evaluation shares a mask by receiving equal-state streams.
-    At dropout_rate 0 the two modes are the same network and no mask is
-    drawn, so the stream is not advanced.
+    drawn from each stacked batch's stream; evaluation mode runs the
+    deterministic network with activations scaled by the keep probability.
+    A paired loss/gradient evaluation shares a mask by receiving equal-state
+    streams.  At dropout_rate 0 the two modes are the same network and no
+    mask is drawn, so the stream is not advanced.
     """
 
     dim: int
@@ -235,62 +249,43 @@ class OneHiddenMLP:
         )
 
     def _unpack(self, w: np.ndarray):
-        d, h, c = self.dim, self.hidden, self.classes
-        off = 0
-        w1 = w[off : off + d * h].reshape(d, h)
-        off += d * h
-        b1 = w[off : off + h]
-        off += h
-        w2 = w[off : off + h * c].reshape(h, c)
-        off += h * c
-        b2 = w[off:]
-        return w1, b1, w2, b2
+        # views of stacked parameters (m, P): w1, b1 (m, 1, h), w2, b2 (m, 1, c)
+        d, h, c, m = self.dim, self.hidden, self.classes, len(w)
+        w1 = w[:, : d * h].reshape(m, d, h)
+        w2 = w[:, d * h + h : d * h + h + h * c].reshape(m, h, c)
+        return w1, w[:, None, d * h : d * h + h], w2, w[:, None, d * h + h + h * c :]
 
-    def _forward(self, params, features, dropout_rng):
+    def _forward(self, params, features, dropout_rngs):
         w1, b1, w2, b2 = params
         pre = features @ w1 + b1
-        act = np.maximum(pre, 0.0)
-        # at rate 0 the mask is all true, and act * True == act * 1.0 bit for
-        # bit, so the stream is left undrawn
-        if dropout_rng is not None and self.dropout_rate > 0:
-            mask = dropout_rng.random(act.shape) >= self.dropout_rate
-            hidden = act * mask
-        else:
-            mask = None
-            hidden = act * (1.0 - self.dropout_rate)
-        logits = hidden @ w2 + b2
-        return pre, act, mask, hidden, logits
+        # keep: each batch's mask in training mode, else the keep probability;
+        # at rate 0 a mask would be all true, and x * True == x * 1.0 bit for bit
+        keep = 1.0 - self.dropout_rate
+        if dropout_rngs is not None and self.dropout_rate > 0:
+            draws = np.stack([rng.random(pre.shape[1:]) for rng in dropout_rngs])
+            keep = draws >= self.dropout_rate
+        hidden = np.maximum(pre, 0.0) * keep
+        return pre, keep, hidden, hidden @ w2 + b2
 
     def loss(self, w, batch: Dataset, dropout_rng=None) -> float:
-        _check_batch(self, batch)
-        logits = self._forward(self._unpack(w), batch.features, dropout_rng)[-1]
-        logp = _log_softmax(logits)
+        w, features, _, rngs = _as_stack(self, w, batch, dropout_rng)
+        logp = _log_softmax(self._forward(self._unpack(w), features, rngs)[-1][0])
         return float(-logp[np.arange(len(batch)), batch.labels].mean())
 
     def gradient(self, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
-        _check_batch(self, batch)
-        n = len(batch)
-        w1, b1, w2, b2 = params = self._unpack(w)
-        pre, act, mask, hidden, logits = self._forward(params, batch.features, dropout_rng)
-        scores = _softmax(logits)
-        scores[np.arange(n), batch.labels] -= 1.0
-        scores /= n
-        grad_w2 = hidden.T @ scores
-        grad_b2 = scores.sum(axis=0)
-        grad_hidden = scores @ w2.T
-        if mask is not None:
-            grad_act = grad_hidden * mask
-        else:
-            grad_act = grad_hidden * (1.0 - self.dropout_rate)
-        grad_pre = grad_act * (pre > 0)
-        grad_w1 = batch.features.T @ grad_pre
-        grad_b1 = grad_pre.sum(axis=0)
-        return np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
-        )
+        """Mean cross-entropy gradient: (m, P) for a stack, (P,) for one batch."""
+        w_stack, features, labels, rngs = _as_stack(self, w, batch, dropout_rng)
+        params = self._unpack(w_stack)
+        pre, keep, hidden, logits = self._forward(params, features, rngs)
+        scores = _cross_entropy_scores(logits, labels)
+        grad_pre = (scores @ params[2].swapaxes(1, 2)) * keep * (pre > 0)
+        grad_w1, grad_w2 = features.swapaxes(1, 2) @ grad_pre, hidden.swapaxes(1, 2) @ scores
+        grads = [grad_w1, grad_pre.sum(axis=1), grad_w2, scores.sum(axis=1)]
+        grad = np.concatenate([g.reshape(len(features), -1) for g in grads], axis=1)
+        return grad if batch.features.ndim == 3 else grad[0]
 
     def predict(self, w, features: np.ndarray) -> np.ndarray:
-        return self._forward(self._unpack(w), features, None)[-1].argmax(axis=1)
+        return self._forward(self._unpack(w[None]), features[None], None)[-1][0].argmax(axis=1)
 
 
 Model = Union[SoftmaxRegression, OneHiddenMLP]

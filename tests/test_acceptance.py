@@ -21,7 +21,7 @@ from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.certificate import CertificateParams, false_certification_rate
 from byzweight.engine import aggregate_trimmed_mean, aggregate_weighted_median
-from byzweight.experiment import build_task, run_cell
+from byzweight.experiment import _init_worker, _run_cell_in_worker, build_task
 from byzweight.tasks import (
     Dataset,
     OneHiddenMLP,
@@ -338,14 +338,16 @@ COLLAPSE = 1 / 10 + 0.05  # chance level for 10 classes plus slack
 
 def _cell_worker(cell):
     cfg = parse_config(ACCEPT_CONFIG)
-    return cell, run_cell(cfg, *build_task(cfg), *cell).final_accuracy
+    return cell, _run_cell_in_worker(cfg, *cell).final_accuracy
 
 
 @pytest.fixture(scope="module")
 def sim():
     workers = min(10, os.cpu_count() or 1)
     t0 = time.time()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the same worker set-up as `simulate --jobs N`: the task, one BLAS thread
+    task = build_task(parse_config(ACCEPT_CONFIG))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=task) as pool:
         acc = dict(pool.map(_cell_worker, GRID))
     return acc, time.time() - t0
 

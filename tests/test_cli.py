@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,6 +28,7 @@ from byzweight.engine import (
     WeightedMean,
     select_clients,
 )
+from byzweight import experiment
 from byzweight.experiment import (
     attacker_ids,
     build_clients,
@@ -289,6 +293,33 @@ def test_run_grid_writes_every_cell(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "preprocess,aggregator,attack,final_accuracy"
     assert len(summary) == 19
+
+
+def _openblas():
+    # numpy's bundled OpenBLAS, found independently of experiment._init_worker
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so"))
+    return ctypes.CDLL(found[0]) if found else None
+
+
+def _blas_threads():
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(tmp_path):
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled scipy-openblas library here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    try:
+        # a worker forked from a two-thread parent drops to one
+        lib.scipy_openblas_set_num_threads64_(2)
+        with ProcessPoolExecutor(1, initializer=experiment._init_worker, initargs=(None, None)) as pool:
+            assert pool.submit(_blas_threads).result() == 1
+        run_grid(parse_config(SMALL), out_dir=str(tmp_path), jobs=2)
+        assert _blas_threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 # ----------------------------------------------------------------------- cli

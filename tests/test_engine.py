@@ -57,7 +57,8 @@ class ScalarQuadratic:
         return float(0.5 * ((w[0] - batch.features[:, 0]) ** 2).mean())
 
     def gradient(self, w, batch, dropout_rng=None):
-        return np.array([(w[0] - batch.features[:, 0]).mean()])
+        # stacked: w (m, 1) and features (m, L, 1) give one gradient per row
+        return (w[:, :1] - batch.features[:, :, 0]).mean(axis=1, keepdims=True)
 
     def predict(self, w, features):
         return np.zeros(len(features), dtype=np.int64)
@@ -65,6 +66,13 @@ class ScalarQuadratic:
 
 def scalar_data(*zs):
     return Dataset(np.array(zs, dtype=float)[:, None], np.zeros(len(zs), dtype=np.int64))
+
+
+def train_one(model, w, client, cfg, round_index, effective_size=None):
+    """client_update for a round in which only this client trains."""
+    size = len(client.data) if effective_size is None else effective_size
+    rows = engine._training_rows(model, client, cfg, size)
+    return client_update(model, w, [client], [rows], cfg, round_index)[0]
 
 
 def toy_config(**kw):
@@ -86,13 +94,13 @@ def toy_config(**kw):
 
 def test_single_gradient_step_by_hand():
     client = ClientSpec(0, scalar_data(1.0), 1)
-    w = client_update(ScalarQuadratic(), np.zeros(1), client, toy_config(), 1)
+    w = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(), 1)
     assert w[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_two_epochs_by_hand():
     client = ClientSpec(0, scalar_data(1.0), 1)
-    w = client_update(ScalarQuadratic(), np.zeros(1), client, toy_config(epochs=2), 1)
+    w = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(epochs=2), 1)
     assert w[0] == pytest.approx(0.19, abs=1e-15)
 
 
@@ -101,7 +109,7 @@ def test_no_movement_at_shard_optimum():
     client = ClientSpec(0, data, 3)
     opt = np.array([4.0])
     cfg = toy_config(epochs=3, batch_size=3)
-    w = client_update(ScalarQuadratic(), opt, client, cfg, 1)
+    w = train_one(ScalarQuadratic(), opt, client, cfg, 1)
     assert abs(w[0] - 4.0) <= 1e-12
 
 
@@ -110,7 +118,7 @@ def test_partial_batch_scales_by_its_size():
     data = scalar_data(1.0, 3.0, 8.0)
     client = ClientSpec(4, data, 3)
     cfg = toy_config(eta=0.05, batch_size=2)
-    got = client_update(ScalarQuadratic(), np.zeros(1), client, cfg, 7)
+    got = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 7)
     zs = data.features[:, 0]
     order = stream(cfg.master_seed, 3, 7, 4).permutation(3)
     w = 0.0
@@ -125,12 +133,12 @@ def test_fractional_batch_size_resolves_per_client():
     # f=1.0 means one full batch regardless of shard size
     data = scalar_data(1.0, 3.0, 8.0, 2.0)
     client = ClientSpec(0, data, 4)
-    frac = client_update(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=1.0), 1)
-    whole = client_update(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=4), 1)
+    frac = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=1.0), 1)
+    whole = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=4), 1)
     assert frac[0] == whole[0]
     # a single-sample shard gets batch 1, so the step keeps full magnitude
     one = ClientSpec(0, scalar_data(1.0), 1)
-    w = client_update(ScalarQuadratic(), np.zeros(1), one, toy_config(batch_size=0.25), 1)
+    w = train_one(ScalarQuadratic(), np.zeros(1), one, toy_config(batch_size=0.25), 1)
     assert w[0] == pytest.approx(0.1, abs=1e-15)
 
 
@@ -171,6 +179,63 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
     assert keys_of(engine._TAG_DROPOUT) == expected
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        SoftmaxRegression(dim=5, classes=3),
+        OneHiddenMLP(dim=5, hidden=7, classes=3, dropout_rate=0.0),
+        OneHiddenMLP(dim=5, hidden=7, classes=3, dropout_rate=0.2),
+    ],
+    ids=["softmax", "mlp_no_dropout", "mlp_dropout"],
+)
+def test_lockstep_matches_each_client_alone(model):
+    # a round of many clients gives every client the bits it gets when it
+    # is the only one training, i.e. when every gradient call is a stack of one
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        sizes = [int(x) for x in rng.choice([1, 1, 1, 2, 3, 4, 7, 12], size=14)]
+        data = generate_blobs(sum(sizes), dim=5, classes=3, seed=trial)
+        shards = split_by_sizes(data, sizes, seed=trial + 50)
+        clients = []
+        for cid, shard in enumerate(shards):
+            behavior = Behavior(rng.choice(["honest", "honest", "label_shift", "model_negation"]))
+            declared = len(shard) if behavior is Behavior.HONEST else 40
+            clients.append(ClientSpec(cid, shard, declared, behavior))
+        cfg = toy_config(
+            eta=0.3,
+            epochs=2,
+            batch_size=[3, 1, 5, 0.5, 0.3, 1.0, 2, 0.75][trial],
+            honest_use_all_samples=bool(trial % 2),
+            master_seed=trial,
+        )
+        rows = [engine._training_rows(model, c, cfg, int(rng.integers(1, 10))) for c in clients]
+        w = model.init_params(np.random.default_rng(trial)) + 0.1
+        together = client_update(model, w, clients, rows, cfg, 4)
+        assert together.shape == (len(clients), model.param_count)
+        for i, (client, r) in enumerate(zip(clients, rows)):
+            alone = client_update(model, w, [client], [r], cfg, 4)
+            assert np.array_equal(together[i], alone[0])
+            if client.behavior is Behavior.MODEL_NEGATION:
+                assert np.array_equal(together[i], -w)
+
+
+def test_fixed_subset_built_once_per_run(monkeypatch):
+    built = []
+
+    def spy(*keys):
+        built.append(keys)
+        return stream(*keys)
+
+    monkeypatch.setattr(engine, "stream", spy)
+    sizes = (1, 4, 1, 7, 2)
+    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
+    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
+    cfg = toy_config(rounds=3, preprocess=Ignore(), honest_use_all_samples=False, master_seed=9)
+    run_training(SoftmaxRegression(dim=4, classes=3), clients, shards[0], cfg)
+    subsets = sorted(k[2:] for k in built if k[:2] == (9, engine._TAG_SUBSET))
+    assert subsets == [(cid,) for cid, n in enumerate(sizes) if n > 1]
+
+
 def test_label_shift_trains_on_flipped_labels():
     ds = generate_blobs(40, dim=6, classes=5, seed=3)
     flipped = Dataset(ds.features, 4 - ds.labels)
@@ -179,8 +244,8 @@ def test_label_shift_trains_on_flipped_labels():
     cfg = toy_config(eta=0.2, epochs=2, batch_size=8)
     shifty = ClientSpec(2, ds, 40, Behavior.LABEL_SHIFT)
     honest = ClientSpec(2, flipped, 40)
-    a = client_update(model, w0, shifty, cfg, 5)
-    b = client_update(model, w0, honest, cfg, 5)
+    a = train_one(model, w0, shifty, cfg, 5)
+    b = train_one(model, w0, honest, cfg, 5)
     assert np.array_equal(a, b)
 
 
@@ -188,15 +253,15 @@ def test_fixed_subset_mode_uses_fewer_samples():
     data = scalar_data(*range(1, 11))
     client = ClientSpec(1, data, 10)
     cfg = toy_config(eta=0.5, epochs=1, batch_size=10, honest_use_all_samples=False)
-    full = client_update(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=10)
-    few = client_update(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
-    again = client_update(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
+    full = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=10)
+    few = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
+    again = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
     assert full[0] == pytest.approx(0.5 * np.mean(range(1, 11)))
     assert few[0] != full[0]
     assert few[0] == again[0]
     # all-samples mode ignores the effective size entirely
     cfg_all = toy_config(eta=0.5, epochs=1, batch_size=10)
-    assert client_update(ScalarQuadratic(), np.zeros(1), client, cfg_all, 1, effective_size=3)[
+    assert train_one(ScalarQuadratic(), np.zeros(1), client, cfg_all, 1, effective_size=3)[
         0
     ] == pytest.approx(full[0])
 
@@ -428,7 +493,8 @@ def test_sample_budget_is_the_preprocessed_weight():
 
     class Recording(ScalarQuadratic):
         def gradient(self, w, batch, dropout_rng=None):
-            seen.append((int(batch.features[0, 0]), sorted(batch.features[:, 1].tolist())))
+            for rows in batch.features:
+                seen.append((int(rows[0, 0]), sorted(rows[:, 1].tolist())))
             return super().gradient(w, batch, dropout_rng)
 
     clients = []

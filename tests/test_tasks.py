@@ -254,6 +254,80 @@ def test_mlp_dropout_stream_pairing():
     assert rng.random() == np.random.default_rng(7).random()
 
 
+def _reference_softmax(logits):
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def reference_gradient(model, w, features, labels, dropout_rng=None):
+    """One batch's gradient written out on 2-D arrays, independent of stacking."""
+    n = len(labels)
+    d, c = model.dim, model.classes
+    if isinstance(model, SoftmaxRegression):
+        scores = _reference_softmax(features @ w[: d * c].reshape(d, c) + w[d * c :])
+        scores[np.arange(n), labels] -= 1.0
+        scores /= n
+        return np.concatenate([(features.T @ scores).ravel(), scores.sum(axis=0)])
+    h, rate = model.hidden, model.dropout_rate
+    w1, b1 = w[: d * h].reshape(d, h), w[d * h : d * h + h]
+    w2, b2 = w[d * h + h : d * h + h + h * c].reshape(h, c), w[d * h + h + h * c :]
+    pre = features @ w1 + b1
+    act = np.maximum(pre, 0.0)
+    keep = (dropout_rng.random(act.shape) >= rate) if dropout_rng is not None and rate > 0 else 1.0 - rate
+    hidden = act * keep
+    scores = _reference_softmax(hidden @ w2 + b2)
+    scores[np.arange(n), labels] -= 1.0
+    scores /= n
+    grad_pre = (scores @ w2.T) * keep * (pre > 0)
+    return np.concatenate(
+        [(features.T @ grad_pre).ravel(), grad_pre.sum(axis=0), (hidden.T @ scores).ravel(), scores.sum(axis=0)]
+    )
+
+
+@pytest.mark.parametrize(
+    "model, m, length",
+    [
+        (SoftmaxRegression(dim=20, classes=10), 300, 1),  # train-crowd's one-row clients
+        (SoftmaxRegression(dim=20, classes=10), 30, 7),
+        (SoftmaxRegression(dim=6, classes=3), 9, 4),  # the softmax golden
+        (OneHiddenMLP(dim=20, hidden=64, classes=10, dropout_rate=0.0), 6, 100),  # the acceptance task
+        (OneHiddenMLP(dim=20, hidden=64, classes=10, dropout_rate=0.0), 5, 1),
+        (OneHiddenMLP(dim=20, hidden=64, classes=10, dropout_rate=0.0), 1, 37),
+        (OneHiddenMLP(dim=6, hidden=8, classes=3, dropout_rate=0.2), 12, 2),  # the dropout golden
+        (OneHiddenMLP(dim=6, hidden=8, classes=3, dropout_rate=0.2), 4, 1),
+        (OneHiddenMLP(dim=6, hidden=8, classes=3, dropout_rate=0.0), 7, 4),
+    ],
+)
+def test_stacked_gradient_is_per_slice_bit_for_bit(model, m, length):
+    # every row of a stacked call, and the 2-D call on that row's batch (the
+    # stack of one), equals the batch's gradient computed on its own, with
+    # X^T and W2^T products and one-row batches included
+    rng = np.random.default_rng(m * 1000 + length)
+    w = rng.standard_normal((m, model.param_count)) * 0.5
+    features = rng.standard_normal((m, length, model.dim))
+    labels = rng.integers(0, model.classes, size=(m, length))
+    drops = getattr(model, "dropout_rate", 0) > 0
+
+    def streams():
+        return [np.random.default_rng((7, k)) if drops else None for k in range(m)]
+
+    stacked = model.gradient(w, Dataset(features, labels), streams() if drops else None)
+    assert stacked.shape == (m, model.param_count)
+    for k, (one_rng, ref_rng) in enumerate(zip(streams(), streams())):
+        want = reference_gradient(model, w[k], features[k], labels[k], ref_rng)
+        assert np.array_equal(stacked[k], want)
+        assert np.array_equal(model.gradient(w[k], Dataset(features[k], labels[k]), one_rng), want)
+
+
+def test_stacked_dataset_shapes():
+    stack = Dataset(np.zeros((3, 2, 4)), np.zeros((3, 2)))
+    assert len(stack) == 3 and stack.dim == 4
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((3, 2, 4)), np.zeros(3))
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((3, 2, 4, 1)), np.zeros((3, 2, 4)))
+
+
 def test_client_objective_is_eval_loss():
     model = SoftmaxRegression(dim=5, classes=4)
     shard = generate_blobs(40, dim=5, classes=4, seed=8)
