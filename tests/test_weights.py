@@ -59,6 +59,21 @@ def test_constructor_rejects_bad_input():
             WeightVector.from_values([3, 1, 2], ids)
 
 
+def test_constructor_names_the_first_offender():
+    with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got -1$"):
+        WeightVector((-1, "a"), (0, 1))
+    with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got 'a'$"):
+        WeightVector(("a", -1), (0, 1))
+    with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got 2.0$"):
+        WeightVector((1, 2.0), (0, 1))
+    with pytest.raises(ValueError, match=r"^values must be sorted non-decreasing$"):
+        WeightVector((1, 3, 2), (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^weight vector must hold at least one client$"):
+        WeightVector((), ())
+    assert WeightVector((False, True, 2), (0, 1, 2)).total == 3  # bool is an int
+    assert WeightVector.from_values([True, 0]).values == (0, True)
+
+
 # ------------------------------------------------------------------- top_share
 
 def test_top_share_full_and_empty_group():
@@ -343,19 +358,61 @@ def test_weights_file_roundtrip(tmp_path):
     assert v.values == (1, 2, 3)
 
 
+def _read_error(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        read_weights_file(path)
+    return str(info.value)
+
+
 def test_weights_file_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1\nnope\n")
-    with pytest.raises(ValueError):
-        read_weights_file(bad)
-    neg = tmp_path / "neg.txt"
-    neg.write_text("-3\n")
-    with pytest.raises(ValueError):
-        read_weights_file(neg)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        read_weights_file(empty)
+    # the exact message and line number of each rejection
+    path = tmp_path / "w.txt"
+    assert _read_error(path, "1\nnope\n") == f"{path}:2: not an integer: 'nope'"
+    assert _read_error(path, "1\n\n  2.5  # half\n") == f"{path}:3: not an integer: '2.5'"
+    assert _read_error(path, "-3\n") == f"{path}:1: weights must be non-negative"
+    assert _read_error(path, "4\n# c\n 7 \n-0x1\n") == f"{path}:4: not an integer: '-0x1'"
+    assert _read_error(path, "# nothing\n") == f"{path}: no weights found"
+    assert _read_error(path, "# one\n\n   \n# two") == f"{path}: no weights found"
+    assert _read_error(path, "") == f"{path}: no weights found"
+
+
+def test_weights_file_reports_the_first_bad_line(tmp_path):
+    # a negative line and a non-integer line: whichever comes first is named
+    path = tmp_path / "w.txt"
+    assert _read_error(path, "5\n-2\n6\nx\n") == f"{path}:2: weights must be non-negative"
+    assert _read_error(path, "5\nx\n6\n-2\n") == f"{path}:2: not an integer: 'x'"
+    assert _read_error(path, "5\n6\n-2 # c\n") == f"{path}:3: weights must be non-negative"
+    assert _read_error(path, b"1\r\n2\r\n-3\r\n") == f"{path}:3: weights must be non-negative"
+
+
+@pytest.mark.parametrize(
+    "content, declared",
+    [
+        ("5 # c\n", [5]),
+        (b"3\r\n1\r\n2\r\n", [3, 1, 2]),
+        ("  7 \t\n\t8\n 9\n", [7, 8, 9]),
+        ("+5\n", [5]),
+        ("1_000\n", [1000]),
+        ("\n\n2\n\n\n1\n\n", [2, 1]),
+        ("4\n3", [4, 3]),
+        ("-0\n0\n", [0, 0]),
+        ("# all\n2 # two\n#\n1", [2, 1]),
+    ],
+)
+def test_weights_file_accepts(tmp_path, content, declared):
+    # ids count the value lines in file order
+    path = tmp_path / "w.txt"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    v = read_weights_file(path)
+    assert v.values == tuple(sorted(declared))
+    assert v.by_id() == dict(enumerate(declared))
 
 
 def test_query_validation():
