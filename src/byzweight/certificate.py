@@ -74,6 +74,14 @@ class CertificateResult:
         return CSV_HEADER + "\n" + ",".join(fields) + "\n"
 
 
+def int64_weights(values) -> np.ndarray:
+    """`values` as an int64 array; a weight of 2^63 or more raises ValueError."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("weights of 2^63 or more do not fit in int64; lower the cap") from None
+
+
 def margins(params: CertificateParams) -> CertificateMargins:
     """Hoeffding margins for the three estimates behind the certificate.
 
@@ -114,7 +122,7 @@ def certify_sample(sample, params: CertificateParams) -> CertificateResult:
     Certifies iff alpha * (trimmed top mean + eps2) / (sample mean - eps3)
     is at most alpha_star and the denominator is positive.
     """
-    values = np.asarray(sample, dtype=np.int64)
+    values = int64_weights(sample)
     if values.ndim != 1 or values.shape[0] != params.sample_size:
         raise ValueError(
             f"sample must hold exactly {params.sample_size} values, got shape {values.shape}"
@@ -157,7 +165,7 @@ def false_certification_rate(
     capped = truncate(population, params.cap)
     if top_share(capped, params.alpha) <= params.alpha_star:
         return 0.0
-    values = np.asarray(capped.values, dtype=np.int64)
+    values = int64_weights(capped.values)
     hits = 0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))

@@ -16,6 +16,7 @@ from .certificate import (
     AlphaTooSmall,
     CertificateParams,
     certify_sample,
+    int64_weights,
 )
 from .config import ConfigError, read_config
 from .experiment import build_clients, build_model, build_task, run_grid
@@ -44,7 +45,7 @@ def cmd_tradeoff(args) -> int:
         curve = tradeoff_curve(weights, args.alpha_star)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if not curve.pairs:
+    if not curve.rows:
         print(
             "no feasible pairs: every candidate assumption is already satisfied "
             "or unattainable for this weight vector",
@@ -75,7 +76,7 @@ def cmd_certify(args) -> int:
         )
         capped = truncate(weights, args.u)
         rng = np.random.default_rng(args.seed)
-        sample = rng.choice(np.array(capped.values), size=args.k, replace=True)
+        sample = rng.choice(int64_weights(capped.values), size=args.k, replace=True)
         result = certify_sample(sample, params)
     except AlphaTooSmall as exc:
         return _fail(f"sample size too small for this alpha: {exc}")

@@ -16,9 +16,11 @@ integer repair, where n is the number of clients whose counts exceed it.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Sequence, Union
 
 
@@ -36,13 +38,9 @@ def as_fraction(x: Union[Fraction, int, float, str]) -> Fraction:
     Floats are converted through their shortest decimal repr, so 0.3 means
     3/10 rather than the underlying binary value.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, str):
+        x = str(x)
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
@@ -59,10 +57,11 @@ class WeightVector:
             raise ValueError("weight vector must hold at least one client")
         if len(self.ids) != len(self.values):
             raise ValueError("ids and values must have equal length")
-        for x in self.values:
-            if not isinstance(x, int) or x < 0:
-                raise ValueError(f"weights must be non-negative integers, got {x!r}")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        values = self.values  # C-level scans; only a failing vector is walked for its offender
+        if not all(issubclass(t, int) for t in set(map(type, values))) or min(values) < 0:
+            bad = next(x for x in values if not isinstance(x, int) or x < 0)
+            raise ValueError(f"weights must be non-negative integers, got {bad!r}")
+        if not all(map(operator.le, values, islice(values, 1, None))):
             raise ValueError("values must be sorted non-decreasing")
 
     @classmethod
@@ -72,14 +71,11 @@ class WeightVector:
         if len(ids) != len(vals):
             raise ValueError(f"{len(ids)} ids for {len(vals)} values")
         order = sorted(range(len(vals)), key=vals.__getitem__)  # stable: ties keep input order
-        return cls(tuple(map(vals.__getitem__, order)), tuple(map(ids.__getitem__, order)))
+        ids = tuple(order) if isinstance(ids, range) else tuple(map(ids.__getitem__, order))
+        return cls(tuple(map(vals.__getitem__, order)), ids)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
 
     def by_id(self) -> dict[int, int]:
         return dict(zip(self.ids, self.values))
@@ -118,15 +114,18 @@ class TruncationOutcome:
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Feasible (alpha, cap) pairs, alpha strictly decreasing."""
+    """Feasible rows (j, cap), alpha = j/k strictly decreasing; `pairs` on request."""
 
-    pairs: tuple[tuple[Fraction, int], ...]
+    k: int
+    rows: tuple[tuple[int, int], ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((Fraction(j, self.k), cap) for j, cap in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["alpha,u_star"]
-        for alpha, cap in self.pairs:
-            lines.append(f"{float(alpha):.6f},{cap}")
-        return "\n".join(lines) + "\n"
+        k = self.k  # int true division rounds correctly: j / k == float(Fraction(j, k))
+        return "alpha,u_star\n" + "".join([f"{j / k:.6f},{cap}\n" for j, cap in self.rows])
 
 
 def top_share(v: WeightVector, fraction: Union[Fraction, int, float, str]) -> Fraction:
@@ -151,7 +150,8 @@ def truncate(v: WeightVector, cap: int) -> WeightVector:
     """Cap every weight at `cap` (order and ids preserved)."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return WeightVector(tuple(min(x, cap) for x in v.values), v.ids)
+    i = bisect_right(v.values, cap)  # values are sorted, so only the tail changes
+    return WeightVector(v.values[:i] + (cap,) * (len(v) - i), v.ids)
 
 
 def _crossing(
@@ -228,15 +228,15 @@ def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]
     k = len(v)
     p, q = limit.numerator, limit.denominator
     prefix = list(accumulate(v.values, initial=0))
-    pairs: list[tuple[Fraction, int]] = []
+    rows: list[tuple[int, int]] = []
     u = 1
     for j in range(math.floor(limit * k), 0, -1):
         u, cap = _crossing(prefix, v.values, j, u, p, q)
         if u == k:
             break
         if cap is not None:
-            pairs.append((Fraction(j, k), cap))
-    return TradeoffCurve(tuple(pairs))
+            rows.append((j, cap))
+    return TradeoffCurve(k, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,16 @@ def preprocess(v: WeightVector, mode: PreprocessMode) -> WeightVector:
 
 def read_weights_file(path) -> WeightVector:
     """Read one integer per line; blank lines and # comments are skipped."""
-    values: list[int] = []
     with open(path) as fh:
+        if fh.seekable():  # one C-level pass; comments and bad lines take the loop below
+            try:
+                values = list(map(int, filter(str.strip, fh)))
+                if values and min(values) >= 0:
+                    return WeightVector.from_values(values)
+            except ValueError:
+                pass
+            fh.seek(0)
+        values = []
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

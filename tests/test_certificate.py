@@ -132,6 +132,19 @@ def test_certify_input_validation():
         certify_sample([1, 2, 3, -1], p)
 
 
+def test_weights_beyond_int64_raise_value_error():
+    # a cap above 2^63 is fine while every weight fits in int64
+    huge = params(k=400, cap=2**64)
+    fits = certify_sample([3] * 399 + [2**63 - 1], huge)
+    assert fits.sample_mean == pytest.approx((3 * 399 + 2**63 - 1) / 400)
+    for big in (2**63, 2**64):
+        with pytest.raises(ValueError, match=r"^weights of 2\^63 or more do not fit in int64"):
+            certify_sample([3] * 399 + [big], huge)
+        population = WeightVector.from_values([1] * 9 + [big])
+        with pytest.raises(ValueError, match=r"^weights of 2\^63 or more do not fit in int64"):
+            false_certification_rate(population, params(k=100, cap=2**65), trials=5, seed=0)
+
+
 def test_certificate_csv_shape():
     p = params(k=300, alpha=F(1, 4), alpha_star=F(1, 2), cap=10)
     text = certify_sample([7] * 300, p).to_csv()

@@ -424,6 +424,21 @@ def test_certify_alpha_too_small_exit_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_certify_weights_beyond_int64_exit_2(tmp_path, capsys):
+    # a capped count of 2^63 or more is a bad input (exit 2), not a crash
+    # (exit 1 is the bound command's violation code)
+    argv = ["certify", "--k", "400", "--alpha", "1/5", "--alpha-star", "0.4",
+            "--delta", "0.05", "--u", str(2**64)]
+    wfile = tmp_path / "w.txt"
+    for big in (2**63, 2**64):
+        write_weights(wfile, [1, 2, big])
+        assert main(argv + ["--weights", str(wfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: weights of 2^63 or more")
+    write_weights(wfile, [1, 2, 3])
+    assert main(argv + ["--weights", str(wfile)]) == 4
+    assert capsys.readouterr().out.splitlines()[1].startswith("false,")
+
+
 def test_bound_command(tmp_path, capsys):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(

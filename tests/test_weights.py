@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from itertools import accumulate
 from fractions import Fraction as F
 
@@ -70,7 +72,7 @@ def test_constructor_names_the_first_offender():
         WeightVector((1, 3, 2), (0, 1, 2))
     with pytest.raises(ValueError, match=r"^weight vector must hold at least one client$"):
         WeightVector((), ())
-    assert WeightVector((False, True, 2), (0, 1, 2)).total == 3  # bool is an int
+    assert WeightVector((False, True, 2), (0, 1, 2)).values == (False, True, 2)  # bool is an int
     assert WeightVector.from_values([True, 0]).values == (0, True)
 
 
@@ -347,8 +349,27 @@ def test_preprocess_modes():
 # --------------------------------------------------------------- serialization
 
 def test_tradeoff_csv_golden():
-    curve = TradeoffCurve(((F(2, 5), 2), (F(1, 5), 4)))
+    curve = TradeoffCurve(5, ((2, 2), (1, 4)))
     assert curve.to_csv() == "alpha,u_star\n0.400000,2\n0.200000,4\n"
+
+
+@given(st.integers(1, 10**6), st.data())
+@settings(max_examples=200)
+def test_tradeoff_csv_matches_fraction_formatting(k, data):
+    # each row prints j / k; it must be the float of the exact Fraction(j, k)
+    near = st.integers(max(1, k // 2 - 50), max(1, min(k, k // 2 + 50)))
+    js = data.draw(st.lists(st.one_of(near, st.integers(1, k)), max_size=20))
+    rows = tuple((j, data.draw(st.integers(0, 2**64))) for j in sorted(set(js), reverse=True))
+    lines = ["alpha,u_star"] + [f"{float(F(j, k)):.6f},{cap}" for j, cap in rows]
+    assert TradeoffCurve(k, rows).to_csv() == "\n".join(lines) + "\n"
+    assert TradeoffCurve(k, rows).pairs == tuple((F(j, k), cap) for j, cap in rows)
+
+
+@given(weight_vectors(max_k=12, max_value=200), st.sampled_from([F(3, 10), F(1, 2), F(3, 5)]))
+@settings(max_examples=150, deadline=None)
+def test_tradeoff_pairs_match_repeated_solve_property(v, alpha_star):
+    want = curve_by_repeated_solve(list(v.values), alpha_star, solve_truncation, TruncationQuery)
+    assert tradeoff_curve(v, alpha_star).pairs == want
 
 
 def test_weights_file_roundtrip(tmp_path):
@@ -413,6 +434,26 @@ def test_weights_file_accepts(tmp_path, content, declared):
     v = read_weights_file(path)
     assert v.values == tuple(sorted(declared))
     assert v.by_id() == dict(enumerate(declared))
+
+
+def test_weights_file_from_a_pipe(tmp_path):
+    # a pipe cannot be rewound, so it is read by the line loop from the start
+    fifo = tmp_path / "w.fifo"
+    os.mkfifo(fifo)
+
+    def read(content):
+        writer = threading.Thread(target=fifo.write_text, args=(content,))
+        writer.start()
+        try:
+            return read_weights_file(fifo)
+        finally:
+            writer.join()
+
+    assert read("3\n1 # c\n2\n").values == (1, 2, 3)
+    assert read("5\n4\n").values == (4, 5)
+    with pytest.raises(ValueError) as info:
+        read("3\n-1\n")
+    assert str(info.value) == f"{fifo}:2: weights must be non-negative"
 
 
 def test_query_validation():
