@@ -361,8 +361,9 @@ def test_tradeoff_csv_matches_fraction_formatting(k, data):
     js = data.draw(st.lists(st.one_of(near, st.integers(1, k)), max_size=20))
     rows = tuple((j, data.draw(st.integers(0, 2**64))) for j in sorted(set(js), reverse=True))
     lines = ["alpha,u_star"] + [f"{float(F(j, k)):.6f},{cap}" for j, cap in rows]
-    assert TradeoffCurve(k, rows).to_csv() == "\n".join(lines) + "\n"
-    assert TradeoffCurve(k, rows).pairs == tuple((F(j, k), cap) for j, cap in rows)
+    curve = TradeoffCurve(k, rows)
+    assert curve.to_csv() == "\n".join(lines) + "\n"
+    assert curve.pairs == tuple((F(j, k), cap) for j, cap in rows)
 
 
 @given(weight_vectors(max_k=12, max_value=200), st.sampled_from([F(3, 10), F(1, 2), F(3, 5)]))
@@ -379,11 +380,15 @@ def test_weights_file_roundtrip(tmp_path):
     assert v.values == (1, 2, 3)
 
 
-def _read_error(path, content):
+def _write(path, content):
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:
         path.write_text(content)
+
+
+def _read_error(path, content):
+    _write(path, content)
     with pytest.raises(ValueError) as info:
         read_weights_file(path)
     return str(info.value)
@@ -427,10 +432,7 @@ def test_weights_file_reports_the_first_bad_line(tmp_path):
 def test_weights_file_accepts(tmp_path, content, declared):
     # ids count the value lines in file order
     path = tmp_path / "w.txt"
-    if isinstance(content, bytes):
-        path.write_bytes(content)
-    else:
-        path.write_text(content)
+    _write(path, content)
     v = read_weights_file(path)
     assert v.values == tuple(sorted(declared))
     assert v.by_id() == dict(enumerate(declared))
