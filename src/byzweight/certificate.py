@@ -75,9 +75,18 @@ class CertificateResult:
 
 
 def int64_weights(values) -> np.ndarray:
-    """`values` as an int64 array; a weight of 2^63 or more raises ValueError."""
+    """`values` as an int64 array, with no copy when it already is one.
+
+    A weight of 2^63 or more, or a float that is not a finite whole number,
+    raises ValueError instead of wrapping or truncating in the cast.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind == "f" and not (np.isfinite(array) & (array == np.trunc(array))).all():
+        raise ValueError("weights must be finite whole numbers")
     try:
-        return np.asarray(values, dtype=np.int64)
+        if array.dtype.kind in "fu" and (array >= 2**63).any():
+            raise OverflowError
+        return array.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError("weights of 2^63 or more do not fit in int64; lower the cap") from None
 

@@ -1,13 +1,11 @@
-"""Experiment configuration: INI-style sections, strict keys, full round-trip.
+"""Experiment configuration: INI-style sections with strict keys.
 
-Every key has a default, every file is validated before anything runs, and
-serialize(parse(text)) is stable so configs can be archived next to results.
+Every key has a default, and every file is validated before anything runs.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -223,26 +221,3 @@ def read_config(path) -> ExperimentConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _format_value(cfg: ExperimentConfig, attr: str, kind: str) -> str:
-    value = getattr(cfg, attr)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "list":
-        return ",".join(value)
-    if kind == "fraction":
-        return str(value)
-    if kind == "count":
-        return "" if value is None else str(value)
-    return str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    out = io.StringIO()
-    for section, keys in _SCHEMA.items():
-        out.write(f"[{section}]\n")
-        for key, (attr, kind) in keys.items():
-            out.write(f"{key} = {_format_value(cfg, attr, kind)}\n")
-        out.write("\n")
-    return out.getvalue()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,17 +163,6 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_csv(path, records: Sequence[RoundMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(metrics_to_csv(records))
-
-
-def byzantine_update(behavior: Behavior, w_server: np.ndarray) -> np.ndarray:
-    if behavior is not Behavior.MODEL_NEGATION:
-        raise ValueError("only model-negation attackers use this update")
-    return -w_server
-
-
 def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: int):
     """The rows a client trains on in every round; None for a model-negation
     attacker.  Without honest_use_all_samples, a fixed subset of at most
@@ -216,7 +205,7 @@ def client_update(
     lanes = []  # (row, rows, n, batch size, shuffle stream, dropout stream)
     for i, (client, data) in enumerate(zip(clients, rows)):
         if data is None:
-            updates[i] = byzantine_update(client.behavior, w)
+            updates[i] = -w
             continue
         n = len(data)
         b = cfg.batch_size
@@ -365,7 +354,6 @@ def run_training(
     clients: Sequence[ClientSpec],
     testset: Dataset,
     cfg: TrainConfig,
-    on_aggregate: Optional[Callable[[int, tuple[int, ...], tuple[int, ...]], None]] = None,
 ) -> tuple[np.ndarray, list[RoundMetrics]]:
     """The full training loop; returns final parameters and per-round metrics.
 
@@ -374,8 +362,6 @@ def run_training(
     selected clients' updates into one matrix in ascending client id, which
     the aggregator reads.  If aggregation ever produces a non-finite
     parameter, the run stops with a final record flagged non-finite.
-    on_aggregate, when given, observes each round's (round, selected ids,
-    weights as used) before the model moves.
     """
     clients = sorted(clients, key=lambda c: c.id)
     ids = [c.id for c in clients]
@@ -392,8 +378,6 @@ def run_training(
         chosen = [clients[cid] for cid in selected]
         updates = client_update(model, w, chosen, [rows[cid] for cid in selected], cfg, t)
         weights = [weight_of[cid] for cid in selected]
-        if on_aggregate is not None:
-            on_aggregate(t, selected, tuple(weights))
         w = aggregate(cfg.aggregator, updates, weights)
         norm = float(np.linalg.norm(w))
         if not np.all(np.isfinite(w)):

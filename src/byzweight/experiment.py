@@ -29,9 +29,9 @@ from .engine import (
     TrimmedMean,
     WeightedMean,
     WeightedMedian,
+    metrics_to_csv,
     run_training,
     stream,
-    write_metrics_csv,
 )
 from .tasks import (
     OneHiddenMLP,
@@ -81,7 +81,7 @@ def build_task(cfg: ExperimentConfig):
         seed=(cfg.master_seed, _TAG_TEST_DATA),
         separation=cfg.separation,
     )
-    partition = generate_partition(
+    sizes = generate_partition(
         PartitionSpec(
             cfg.train_samples,
             cfg.clients,
@@ -90,12 +90,7 @@ def build_task(cfg: ExperimentConfig):
             seed=(cfg.master_seed, _TAG_PARTITION),
         )
     )
-    sizes = partition.by_id()
-    shards = split_by_sizes(
-        train,
-        [sizes[i] for i in range(cfg.clients)],
-        seed=(cfg.master_seed, _TAG_SPLIT),
-    )
+    shards = split_by_sizes(train, sizes, seed=(cfg.master_seed, _TAG_SPLIT))
     return shards, test
 
 
@@ -240,10 +235,9 @@ def run_grid(
     else:
         results = list(map(run_cell, repeat(cfg), repeat(shards), repeat(test), *axes))
     for r in results:
-        write_metrics_csv(
-            os.path.join(out, metrics_filename(r.preprocess, r.aggregator, r.attack)),
-            r.metrics,
-        )
+        name = metrics_filename(r.preprocess, r.aggregator, r.attack)
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            fh.write(metrics_to_csv(r.metrics))
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
         fh.write(summary_csv(results))
     return results

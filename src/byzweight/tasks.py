@@ -16,8 +16,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .weights import WeightVector
-
 
 class InfeasibleTotal(ValueError):
     """Cannot give every client at least one sample."""
@@ -50,11 +48,10 @@ def _largest_remainder(raw: np.ndarray, total: int, floor: int) -> list[int]:
     return [floor + int(b) for b in base]
 
 
-def generate_partition(spec: PartitionSpec) -> WeightVector:
+def generate_partition(spec: PartitionSpec) -> list[int]:
     """Lognormal client sizes scaled to sum exactly to the sample budget.
 
-    Every client receives at least one sample; the result is sorted with the
-    pre-sort draw order kept as ids.
+    Every client receives at least one sample; sizes come in draw order.
     """
     if spec.clients < 1:
         raise ValueError("need at least one client")
@@ -64,8 +61,7 @@ def generate_partition(spec: PartitionSpec) -> WeightVector:
         )
     rng = np.random.default_rng(spec.seed)
     raw = rng.lognormal(spec.mu, spec.sigma, spec.clients)
-    sizes = _largest_remainder(raw, spec.total_samples, floor=1)
-    return WeightVector.from_values(sizes)
+    return _largest_remainder(raw, spec.total_samples, floor=1)
 
 
 @dataclass
@@ -122,10 +118,7 @@ def generate_blobs(
 
 def split_by_sizes(ds: Dataset, sizes, seed) -> list[Dataset]:
     """Shuffle rows once, then hand out contiguous runs of the given sizes."""
-    if isinstance(sizes, WeightVector):
-        size_list = list(sizes.values)
-    else:
-        size_list = [int(s) for s in sizes]
+    size_list = [int(s) for s in sizes]
     if sum(size_list) != len(ds):
         raise SizeMismatch(
             f"sizes sum to {sum(size_list)} but the dataset holds {len(ds)} rows"
@@ -295,11 +288,6 @@ def accuracy(model: Model, w, ds: Dataset) -> float:
     return float((model.predict(w, ds.features) == ds.labels).mean())
 
 
-def client_objective(model: Model, w, shard: Dataset) -> float:
-    """Mean evaluation-mode loss over one client's samples."""
-    return model.loss(w, shard, dropout_rng=None)
-
-
 def objective_gap(
     model: Model,
     w,
@@ -316,10 +304,7 @@ def objective_gap(
     their total per-sample loss scaled by the normalizer shift.  With the
     cap at or above every declared count both sides are exactly zero.
     """
-    if isinstance(declared, WeightVector):
-        declared_list = list(declared.values)
-    else:
-        declared_list = [int(x) for x in declared]
+    declared_list = [int(x) for x in declared]
     if len(declared_list) != len(shards):
         raise SizeMismatch(
             f"{len(declared_list)} declared counts for {len(shards)} shards"
@@ -332,7 +317,8 @@ def objective_gap(
     capped_total = sum(capped)
     if declared_total == 0 or capped_total == 0:
         raise ValueError("declared counts must carry positive total weight")
-    objectives = [client_objective(model, w, shard) for shard in shards]
+    # each client's mean loss in evaluation mode: no dropout stream
+    objectives = [model.loss(w, shard) for shard in shards]
     declared_mean = sum(d * f for d, f in zip(declared_list, objectives)) / declared_total
     capped_mean = sum(c * f for c, f in zip(capped, objectives)) / capped_total
     lhs = abs(declared_mean - capped_mean)

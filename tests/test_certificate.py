@@ -143,6 +143,12 @@ def test_weights_beyond_int64_raise_value_error():
         population = WeightVector.from_values([1] * 9 + [big])
         with pytest.raises(ValueError, match=r"^weights of 2\^63 or more do not fit in int64"):
             false_certification_rate(population, params(k=100, cap=2**65), trials=5, seed=0)
+    # an array is checked before the cast, which would wrap 2^63 to -2^63 and read 2.5 as 2
+    for array in (np.array([1.0] * 399 + [2.0**63]), np.array([1] * 399 + [2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"^weights of 2\^63 or more do not fit in int64"):
+            certify_sample(array, huge)
+    with pytest.raises(ValueError, match=r"^weights must be finite whole numbers"):
+        certify_sample(np.full(400, 2.5), huge)
 
 
 def test_certificate_csv_shape():

@@ -23,7 +23,6 @@ from byzweight.engine import (
     aggregate_trimmed_mean,
     aggregate_weighted_mean,
     aggregate_weighted_median,
-    byzantine_update,
     client_update,
     metrics_to_csv,
     run_training,
@@ -266,18 +265,6 @@ def test_fixed_subset_mode_uses_fewer_samples():
     ] == pytest.approx(full[0])
 
 
-def test_negation_attack_is_exact_involution():
-    w = np.array([1.0, -2.0])
-    assert np.array_equal(byzantine_update(Behavior.MODEL_NEGATION, w), [-1.0, 2.0])
-    assert np.array_equal(byzantine_update(Behavior.MODEL_NEGATION, np.zeros(3)), np.zeros(3))
-    twice = byzantine_update(
-        Behavior.MODEL_NEGATION, byzantine_update(Behavior.MODEL_NEGATION, w)
-    )
-    assert np.array_equal(twice, w)
-    with pytest.raises(ValueError):
-        byzantine_update(Behavior.HONEST, w)
-
-
 def test_honest_client_cannot_lie():
     with pytest.raises(ValueError):
         ClientSpec(0, scalar_data(1.0, 2.0), 5)
@@ -453,18 +440,36 @@ def test_training_is_deterministic_and_learns():
     assert m1[-1].test_loss < m1[0].test_loss
 
 
-def test_aggregation_sees_preprocessed_weights_only():
+def spy_aggregation(monkeypatch) -> list:
+    """Record (round, selected ids, weights as aggregated) for each round."""
+    seen, select, aggregate_as_is = [], engine.select_clients, engine.aggregate
+
+    def select_spy(t, *args):
+        ids = select(t, *args)
+        seen.append((t, ids))
+        return ids
+
+    def aggregate_spy(kind, updates, weights):
+        seen[-1] += (tuple(weights),)
+        return aggregate_as_is(kind, updates, weights)
+
+    monkeypatch.setattr(engine, "select_clients", select_spy)
+    monkeypatch.setattr(engine, "aggregate", aggregate_spy)
+    return seen
+
+
+def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
     model = SoftmaxRegression(dim=6, classes=3)
     clients = blob_clients(behavior_map={2: Behavior.MODEL_NEGATION})
     test = generate_blobs(60, dim=6, classes=3, seed=11)
-    seen = []
+    seen = spy_aggregation(monkeypatch)
     cfg = toy_config(
         rounds=3,
         batch_size=16,
         preprocess=Truncate(TruncationQuery("1/6", "1/3")),
         clients_per_round=4,
     )
-    run_training(model, clients, test, cfg, on_aggregate=lambda *args: seen.append(args))
+    run_training(model, clients, test, cfg)
     from byzweight.weights import WeightVector, preprocess
 
     declared = WeightVector.from_values([c.declared_size for c in clients], range(6))
@@ -475,13 +480,13 @@ def test_aggregation_sees_preprocessed_weights_only():
     assert expected[2] < 10**6  # the liar was actually capped
 
 
-def test_ignore_mode_weights_everyone_equally():
+def test_ignore_mode_weights_everyone_equally(monkeypatch):
     model = SoftmaxRegression(dim=6, classes=3)
     clients = blob_clients(behavior_map={1: Behavior.MODEL_NEGATION})
     test = generate_blobs(60, dim=6, classes=3, seed=12)
-    seen = []
+    seen = spy_aggregation(monkeypatch)
     cfg = toy_config(rounds=1, batch_size=16, preprocess=Ignore())
-    run_training(model, clients, test, cfg, on_aggregate=lambda *a: seen.append(a))
+    run_training(model, clients, test, cfg)
     assert seen[0][2] == (1,) * 6
 
 
