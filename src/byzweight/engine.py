@@ -9,8 +9,8 @@ labels.  All randomness is drawn from streams keyed on
 how client work is scheduled.
 
 A round's clients train in lockstep (client_update), which changes no bit,
-and their updates form one matrix in ascending client id that the
-aggregators read as it is.
+and their updates form one matrix in ascending client id.  The median and
+trimmed mean rank a client-major copy of it, ties in client order.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
@@ -257,12 +257,34 @@ def _as_arrays(updates, weights: Sequence[float]):
     if u.ndim != 2 or len(u) == 0 or len(u) != len(weights):
         raise ValueError("need equally many updates and weights, at least one")
     wt = np.asarray(weights, dtype=float)
-    if np.any(wt < 0):
-        raise ValueError("weights must be non-negative")
+    if not (np.isfinite(wt).all() and (wt >= 0).all()):
+        raise ValueError("weights must be finite and non-negative")
     total = wt.sum()
     if total <= 0:
         raise WeightSumZero("total aggregation weight is zero")
     return u, wt, total
+
+
+def _client_order(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The client-major (P, K) copy of u, and per row the clients ranked by
+    ascending value, ties in client order: argsort(kind="stable"), through
+    numpy's faster default sort.  Rows where neighbours tie (-0.0 == 0.0;
+    NaNs sort last, as one run) are sorted again on (run << bits) | client.
+    """
+    ut = np.ascontiguousarray(u.T)
+    order, ranked = np.argsort(ut, axis=1), np.sort(ut, axis=1)
+    same = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
+    rows = np.flatnonzero(same.any(axis=1))
+    if rows.size:
+        bits = (len(u) - 1).bit_length()
+        key = ranked.view(np.int64)[: rows.size]  # reuse ranked's buffer: fresh pages fault
+        key[:, 0] = 0
+        np.cumsum(~same[rows], axis=1, out=key[:, 1:])  # each rank's run
+        key <<= bits
+        key |= order[rows]
+        key.sort(axis=1)
+        order[rows] = np.bitwise_and(key, (1 << bits) - 1, out=key)
+    return ut, order
 
 
 def aggregate_weighted_mean(updates, weights: Sequence[float]) -> np.ndarray:
@@ -274,14 +296,14 @@ def aggregate_weighted_median(updates, weights: Sequence[float]) -> np.ndarray:
     """Coordinatewise weighted lower median.
 
     Per coordinate: the smallest value whose cumulative weight, over values
-    sorted ascending, reaches half the total.
+    sorted ascending with ties in client order, reaches half the total.
     """
     u, wt, total = _as_arrays(updates, weights)
-    order = np.argsort(u, axis=0, kind="stable")
-    ranked = np.take_along_axis(u, order, axis=0)
-    cum = np.cumsum(wt[order], axis=0)
-    pick = (cum >= total / 2).argmax(axis=0)
-    return np.take_along_axis(ranked, pick[None, :], axis=0)[0]
+    ut, order = _client_order(u)
+    cum = wt[order]
+    np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
+    rows = np.arange(len(ut))
+    return ut[rows, order[rows, (cum >= total / 2).argmax(axis=1)]]
 
 
 def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np.ndarray:
@@ -289,19 +311,21 @@ def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np
 
     A client straddling a trim boundary keeps only the fraction of its
     weight inside the surviving band, so the trimmed mass is exactly
-    beta * total on each side.
+    beta * total on each side.  Ranked as in aggregate_weighted_median.
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
     u, wt, total = _as_arrays(updates, weights)
-    order = np.argsort(u, axis=0, kind="stable")
-    ranked = np.take_along_axis(u, order, axis=0)
+    ut, order = _client_order(u)
+    ranked = np.take_along_axis(ut, order, axis=1)
     lower = wt[order]  # each client's weight, turned in place into where its band starts
-    cum = np.cumsum(lower, axis=0)
+    cum = np.cumsum(lower, axis=1)
     lo, hi = beta * total, (1 - beta) * total
-    upper = np.minimum(cum, hi)
     np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
-    surviving = np.clip(upper - lower, 0.0, None)
-    return (surviving * ranked).sum(axis=0) / (total - 2 * beta * total)
+    upper = np.minimum(cum, hi, out=cum)
+    surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
+    # (K, P) in lower's buffer: summed down axis 0 one client at a time, not pairwise
+    terms = np.multiply(surviving.T, ranked.T, out=lower.reshape(u.shape))
+    return terms.sum(axis=0) / (total - 2 * beta * total)
 
 
 def aggregate(kind: Aggregator, updates, weights: Sequence[float]) -> np.ndarray:

@@ -222,18 +222,19 @@ def run_grid(
 ) -> list[CellResult]:
     """Run every cell, write one metrics CSV each plus summary.csv.
 
-    With jobs > 1 each pool worker receives the task once, when it starts,
-    and runs one BLAS thread; jobs = 1 keeps the caller's BLAS setting.
+    With jobs > 1, min(jobs, cells) pool workers each get the task once and
+    run one BLAS thread; jobs = 1 keeps the caller's BLAS setting.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
     shards, test = build_task(cfg)
-    axes = zip(*grid_cells(cfg))
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(shards, test)) as pool:
-            results = list(pool.map(_run_cell_in_worker, repeat(cfg), *axes))
+    cells = grid_cells(cfg)
+    if jobs > 1:  # a forked pool starts all its workers at once
+        workers = min(jobs, len(cells))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(shards, test)) as pool:
+            results = list(pool.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
     else:
-        results = list(map(run_cell, repeat(cfg), repeat(shards), repeat(test), *axes))
+        results = list(map(run_cell, repeat(cfg), repeat(shards), repeat(test), *zip(*cells)))
     for r in results:
         name = metrics_filename(r.preprocess, r.aggregator, r.attack)
         with open(os.path.join(out, name), "w", newline="") as fh:

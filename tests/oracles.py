@@ -117,3 +117,35 @@ def curve_by_repeated_solve(values, alpha_star: Fraction, solve, query_cls):
         elif out.status == "no_truncation_needed":
             break
     return tuple(pairs)
+
+
+def _update_arrays(updates, weights):
+    u = np.asarray(updates, dtype=float)
+    wt = np.asarray(weights, dtype=float)
+    return u, wt, wt.sum()
+
+
+def stable_weighted_median(updates, weights) -> np.ndarray:
+    """Weighted lower median through a stable argsort down the clients of
+    the (K, P) matrix: the byte-level reference for the engine's median."""
+    u, wt, total = _update_arrays(updates, weights)
+    order = np.argsort(u, axis=0, kind="stable")
+    ranked = np.take_along_axis(u, order, axis=0)
+    cum = np.cumsum(wt[order], axis=0)
+    pick = (cum >= total / 2).argmax(axis=0)
+    return np.take_along_axis(ranked, pick[None, :], axis=0)[0]
+
+
+def stable_trimmed_mean(updates, weights, beta: float) -> np.ndarray:
+    """Weighted trimmed mean through a stable argsort down the clients of
+    the (K, P) matrix: the byte-level reference for the engine's trimmed mean."""
+    u, wt, total = _update_arrays(updates, weights)
+    order = np.argsort(u, axis=0, kind="stable")
+    ranked = np.take_along_axis(u, order, axis=0)
+    lower = wt[order]  # each client's weight, turned in place into where its band starts
+    cum = np.cumsum(lower, axis=0)
+    lo, hi = beta * total, (1 - beta) * total
+    upper = np.minimum(cum, hi)
+    np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
+    surviving = np.clip(upper - lower, 0.0, None)
+    return (surviving * ranked).sum(axis=0) / (total - 2 * beta * total)

@@ -307,6 +307,22 @@ def test_pool_workers_run_one_blas_thread(tmp_path):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+def test_run_grid_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a forked pool starts every worker it is given at once
+    requested, pool = [], experiment.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        requested.append(max_workers)
+        return pool(min(max_workers, 2), **kwargs)  # never a large pool here
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
+    cfg = parse_config(SMALL + "[preprocess]\nmodes = passthrough\n[aggregator]\nkinds = mean, median\n")
+    for jobs in (64, 3):
+        results = run_grid(cfg, out_dir=str(tmp_path / str(jobs)), jobs=jobs)
+        assert len(results) == 4
+    assert requested == [4, 3]
+
+
 # ----------------------------------------------------------------------- cli
 
 

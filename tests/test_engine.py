@@ -37,6 +37,7 @@ from byzweight.tasks import (
     split_by_sizes,
 )
 from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery
+from oracles import stable_trimmed_mean, stable_weighted_median
 
 
 @dataclass(frozen=True)
@@ -375,6 +376,67 @@ def test_aggregate_dispatch():
     assert aggregate(TrimmedMean(0.0), ups, [1, 3]) == pytest.approx([3.5])
     with pytest.raises(ValueError):
         TrimmedMean(0.5)
+
+
+def tied_updates(k: int, p: int, seed: int):
+    """A (k, p) update matrix and weights holding every kind of tie the
+    aggregators must break in client order."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((k, p))
+    u[rng.random(k) < 0.1] = -rng.standard_normal(p)  # identical attacker rows
+    small = rng.random((k, p)) < 0.2
+    u[small] = rng.integers(-2, 3, small.sum())  # ties among honest values, 0.0 among them
+    special = rng.random((k, p)) < 0.1
+    u[special] = rng.choice([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], special.sum())
+    weights = rng.integers(0, 4, k) if seed % 2 else rng.random(k) * (rng.random(k) > 0.3)
+    weights[rng.integers(k)] = 1  # zero weights, but a positive total
+    return u, weights
+
+
+def assert_matches_stable_sort(u, weights):
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf under the trimmed mean
+        want = stable_weighted_median(u, weights)
+        assert aggregate_weighted_median(u, weights).tobytes() == want.tobytes()
+        for beta in (0.0, 0.1, 0.3, 0.49):
+            want = stable_trimmed_mean(u, weights, beta)
+            assert aggregate_trimmed_mean(u, weights, beta).tobytes() == want.tobytes()
+
+
+# K = 1, and K at 2^b and 2^b +- 1, where the tie key's bit width changes
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257])
+def test_robust_aggregators_match_stable_sort_bytes(k):
+    for seed in range(6):
+        assert_matches_stable_sort(*tied_updates(k, 7, seed))
+        # -0.0 and 0.0 tie, and NaNs tie, in whole columns
+        signed = np.random.default_rng(seed).choice([0.0, -0.0, np.nan], (k, 3))
+        assert_matches_stable_sort(signed, np.arange(1, k + 1) % 3)
+
+
+@pytest.mark.parametrize("k, p", [(2000, 210), (100, 2014)])
+def test_robust_aggregators_match_stable_sort_bytes_at_workload_shape(k, p):
+    rng = np.random.default_rng(k)
+    clean = rng.standard_normal((k, p))
+    attacked = clean.copy()
+    attacked[: k // 10] = -rng.standard_normal(p)  # one negated model, sent by a tenth
+    for u in (clean, attacked, tied_updates(k, p, 1)[0]):
+        assert_matches_stable_sort(u, rng.integers(0, 10, k))
+
+
+def test_client_order_is_stable_argsort():
+    u = np.array([[0.0, 2.0], [-0.0, np.nan], [1.0, 2.0], [0.0, np.nan], [-1.0, -np.inf]])
+    ut, order = engine._client_order(u)
+    assert np.array_equal(ut, u.T, equal_nan=True) and ut.flags.c_contiguous
+    assert order.tolist() == [[4, 0, 1, 3, 2], [4, 0, 2, 1, 3]]
+    # the lower median of 0.0, -0.0, 0.0 is the second in client order
+    assert np.signbit(aggregate_weighted_median([[0.0], [-0.0], [0.0]], [1, 1, 1])[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", [WeightedMean(), WeightedMedian(), TrimmedMean(0.1)],
+                         ids=["mean", "median", "trimmed"])
+def test_non_finite_weights_rejected(kind, bad):
+    with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+        aggregate(kind, [np.array([1.0]), np.array([2.0])], [bad, 1.0])
 
 
 # ----------------------------------------------------------------- selection
