@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .engine import streams
 from .weights import TruncationQuery, WeightVector, top_share, truncate
 
 
@@ -175,10 +176,5 @@ def false_certification_rate(
     if top_share(capped, params.alpha) <= params.alpha_star:
         return 0.0
     values = int64_weights(capped.values)
-    hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        sample = rng.choice(values, size=params.sample_size, replace=True)
-        if certify_sample(sample, params).certified:
-            hits += 1
-    return hits / trials
+    return sum(certify_sample(rng.choice(values, size=params.sample_size), params).certified
+               for rng in streams(seed, np.arange(trials))) / trials

@@ -98,6 +98,8 @@ def cmd_bound(args) -> int:
         return _fail(str(exc))
     if args.u < 1:
         return _fail("cap must be a positive integer")
+    if args.seed < 0:
+        return _fail("seed must be a non-negative integer")
     shards, _ = build_task(cfg)
     scenario = cfg.scenarios[0]
     clients = build_clients(cfg, scenario, shards)

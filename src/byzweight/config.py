@@ -92,7 +92,8 @@ class ExperimentConfig:
         try:
             query = TruncationQuery(self.alpha, self.alpha_star)
             aggregator = TrimmedMean(self.beta)
-            TrainConfig(self.rounds, self.eta, self.epochs, self.batch_size, Truncate(query), aggregator)
+            TrainConfig(self.rounds, self.eta, self.epochs, self.batch_size, Truncate(query),
+                        aggregator, master_seed=self.master_seed)
             OneHiddenMLP(self.dim, self.hidden, self.classes, self.dropout)
             participants_per_round(self.clients_per_round, self.clients)
         except ValueError as exc:

@@ -18,7 +18,8 @@ part; the subset stream once per run for each client that trains on fewer
 rows than it holds (keyed on the client alone); and per (round, training
 client) the shuffle stream when it trains on more than one row, and the
 dropout stream when the model has a positive dropout_rate.  Each purpose has
-its own tag, so a stream left unbuilt changes no other draw.
+its own tag, so a stream left unbuilt changes no other draw.  A round's
+shuffle streams are seeded in one batch (streams), drawing the same numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +60,48 @@ _STACK_ROWS = 256  # rows per stacked gradient call; larger stacks fall out of c
 def stream(*keys: int) -> np.random.Generator:
     """A fresh generator keyed on a tuple of integers."""
     return np.random.default_rng(tuple(int(k) for k in keys))
+
+
+def streams(*parts) -> Iterator[np.random.Generator]:
+    """stream(*key) for each key of the broadcast parts: streams(s, t, ids) is
+    stream(s, t, i) for i in ids.  All keys are seeded in one pass (numpy's
+    SeedSequence hash in uint32 arrays, PCG64's seeding in 128-bit ints), and
+    each is the one reused Generator reset: draw from it before the next."""
+    mask32, mask128, pcg_mult = (1 << 32) - 1, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    words = []  # the entropy: each part's k-th little-endian uint32 word, or -1
+    for col in np.broadcast_arrays(*map(np.atleast_1d, parts)):
+        if (col < 0).any():
+            raise ValueError("expected non-negative integer")
+        words.append((col & mask32).astype(np.int64))
+        while ((col := col >> 32) > 0).any():
+            words.append(np.where(col > 0, (col & mask32).astype(np.int64), -1))
+    ent = np.stack(words, axis=1)  # each key's words to the front; zeros pad it to the pool
+    ent = np.take_along_axis(ent, np.argsort(ent < 0, axis=1, kind="stable"), axis=1)
+    count = np.maximum((ent >= 0).sum(axis=1), 4)  # pool words mix in every key
+    ent = np.pad(np.maximum(ent, 0).astype(np.uint32), ((0, 0), (0, max(0, 4 - ent.shape[1]))))
+    c = [0x43B0D7E5, 0x931E8875]  # the running hash constant and its multiplier
+
+    def hash_(v):
+        c[0], v = c[0] * c[1] & mask32, v ^ np.uint32(c[0])  # xor, advance, multiply
+        v = v * np.uint32(c[0])
+        return v ^ v >> np.uint32(16)
+
+    pool = [hash_(ent[:, i]) for i in range(4)]
+    # mix the pool words into each other, then any words past the pool into each
+    for src, dst in [(s, d) for s in range(ent.shape[1]) for d in range(4) if s != d]:
+        r = hash_(pool[src] if src < 4 else ent[:, src]) * np.uint32(0x4973F715)
+        r = pool[dst] * np.uint32(0xCA01F9DD) - r
+        pool[dst] = np.where(src < count, r ^ r >> np.uint32(16), pool[dst])
+    c[:] = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64) hashes with its own constants
+    out = [hash_(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    v0, v1, v2, v3 = ((out[j] | out[j + 1] << np.uint64(32)).tolist() for j in (0, 2, 4, 6))
+    gen = np.random.Generator(bits := np.random.PCG64(0))
+    for s0, s1, i0, i1 in zip(v0, v1, v2, v3):  # PCG64 seeds from (v0:v1, v2:v3)
+        inc = ((i0 << 64 | i1) << 1 | 1) & mask128
+        state = ((s0 << 64 | s1) + inc) * pcg_mult + inc & mask128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 class Behavior(enum.Enum):
@@ -135,6 +178,8 @@ class TrainConfig:
             raise ValueError("eta must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be a non-negative integer")
         if isinstance(self.batch_size, float):
             if not 0 < self.batch_size <= 1:
                 raise ValueError("fractional batch_size must lie in (0, 1]")
@@ -195,60 +240,56 @@ def client_update(
     The clients step in lockstep, and at each step the batches of equal
     length share stacked model.gradient calls.  No bit can change: each
     client keeps its own parameters, rows and streams, steps by the same
-    Python float eta * (r / batch_size), and a stacked product computes each
+    float eta * (r / batch_size), and a stacked product computes each
     slice as a call on that slice alone.  Streams keyed on (round, client),
     drawn in the client's batch order: shuffle, one permutation per epoch,
     for more than one row; dropout, one mask per batch, if dropout_rate > 0.
     """
     updates = np.tile(w, (len(clients), 1))
+    updates[[i for i, data in enumerate(rows) if data is None]] = -w
+    if all(data is None for data in rows):
+        return updates
+    # client i's rows sit at offset[i] in the round's pool; an attacker has none
+    n = np.array([0 if data is None else len(data.labels) for data in rows], dtype=np.int64)
+    b = cfg.batch_size
+    b = np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
+    offset = np.cumsum(n) - n
+    pool = Dataset(np.concatenate([data.features for data in rows if data is not None]),
+                   np.concatenate([data.labels for data in rows if data is not None]))
+    ids, many = np.array([client.id for client in clients], dtype=np.int64), n > 1
+    shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
+    perms = [[rng.permutation(k) for _ in range(cfg.epochs)] for rng, k in shuffles]
     drops = getattr(model, "dropout_rate", 0) > 0
-    lanes = []  # (row, rows, n, batch size, shuffle stream, dropout stream)
-    for i, (client, data) in enumerate(zip(clients, rows)):
-        if data is None:
-            updates[i] = -w
-            continue
-        n = len(data)
-        b = cfg.batch_size
-        if isinstance(b, float):
-            b = max(1, math.ceil(b * n))
-        shuffle = stream(cfg.master_seed, _TAG_SHUFFLE, round_index, client.id) if n > 1 else None
-        dropout = stream(cfg.master_seed, _TAG_DROPOUT, round_index, client.id) if drops else None
-        lanes.append((i, data, n, b, shuffle, dropout))
-    for _ in range(cfg.epochs):
-        # one gather per epoch; each batch is then a contiguous slice
-        active = [
-            (i, data if shuffle is None else data.subset(shuffle.permutation(n)), n, b, dropout)
-            for i, data, n, b, shuffle, dropout in lanes
-        ]
-        step = 0
-        while active:
-            groups: dict[int, list] = {}
-            for i, data, n, b, dropout in active:
-                start = step * b
-                groups.setdefault(min(b, n - start), []).append((i, data, start, b, dropout))
-            for length, group in groups.items():
-                per = max(1, _STACK_ROWS // length)
-                for k in range(0, len(group), per):
-                    _step(model, updates, group[k : k + per], length, cfg.eta, drops)
-            step += 1
-            active = [(i, d, n, b, r) for i, d, n, b, r in active if step * b < n]
+    dropout = [stream(cfg.master_seed, _TAG_DROPOUT, round_index, i) if drops and data is not None
+               else None for data, i in zip(rows, ids)]
+    # the schedule: each batch as (client, start, length), sorted by (step, length, client)
+    steps = -(-n // b)
+    lane = np.repeat(np.arange(n.size), steps)
+    step = np.arange(lane.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    length = np.minimum(b[lane], n[lane] - step * b[lane])
+    order = np.lexsort((lane, length, step))
+    lane, step, length = lane[order], step[order], length[order]
+    start, scale = offset[lane] + step * b[lane], cfg.eta * (length / b[lane])
+    cuts = (np.flatnonzero((np.diff(step) != 0) | (np.diff(length) != 0)) + 1).tolist()
+    stacks = []  # (first, end, batch length) in the sorted schedule
+    for lo, hi in zip([0, *cuts], [*cuts, lane.size]):
+        per = max(1, _STACK_ROWS // int(length[lo]))
+        stacks += [(k, min(k + per, hi), int(length[lo])) for k in range(lo, hi, per)]
+    for epoch in range(cfg.epochs):
+        index = np.repeat(offset, n)  # one gather per epoch; a one-row client stays put
+        if perms:
+            index[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
+        data = pool.subset(index)
+        for lo, hi, size in stacks:
+            if hi - lo == 1:  # one client: its rows and parameters are slices
+                at, who = (None, slice(start[lo], start[lo] + size)), slice(lane[lo], lane[lo] + 1)
+            else:  # rows by index arithmetic
+                at, who = start[lo:hi, None] + np.arange(size), lane[lo:hi]
+            rngs = [dropout[i] for i in lane[lo:hi]] if drops else None
+            grad = model.gradient(updates[who], Dataset(data.features[at], data.labels[at]), rngs)
+            grad *= scale[lo:hi, None]  # f * g == g * f bit for bit
+            updates[who] -= grad
     return updates
-
-
-def _step(model, updates: np.ndarray, lanes, length: int, eta: float, drops: bool) -> None:
-    """One SGD step for each lane, through one stacked gradient call."""
-    idx, data, starts, sizes, rngs = map(list, zip(*lanes))
-    x = np.concatenate([d.features[s : s + length] for d, s in zip(data, starts)])
-    y = np.concatenate([d.labels[s : s + length] for d, s in zip(data, starts)])
-    stack = Dataset(x.reshape(len(idx), length, -1), y.reshape(len(idx), length))
-    # consecutive rows are stepped in place; others are gathered and put back
-    rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
-    w_stack = updates[rows]
-    grad = model.gradient(w_stack, stack, rngs if drops else None)
-    # f * g == g * f bit for bit; in place to keep temporaries few
-    grad *= np.array([eta * (length / b) for b in sizes])[:, None]
-    w_stack -= grad
-    updates[rows] = w_stack
 
 
 def _as_arrays(updates, weights: Sequence[float]):

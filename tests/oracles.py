@@ -149,3 +149,51 @@ def stable_trimmed_mean(updates, weights, beta: float) -> np.ndarray:
     np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
     surviving = np.clip(upper - lower, 0.0, None)
     return (surviving * ranked).sum(axis=0) / (total - 2 * beta * total)
+
+
+def per_trial_false_certification_rate(population, params, trials: int, seed: int) -> float:
+    """false_certification_rate with a fresh np.random.default_rng((seed,
+    trial)) per trial: the reference for the library's batch-seeded streams."""
+    from byzweight.certificate import certify_sample, int64_weights
+    from byzweight.weights import top_share, truncate
+
+    capped = truncate(population, params.cap)
+    if top_share(capped, params.alpha) <= params.alpha_star:
+        return 0.0
+    values = int64_weights(capped.values)
+    hits = 0
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        sample = rng.choice(values, size=params.sample_size, replace=True)
+        if certify_sample(sample, params).certified:
+            hits += 1
+    return hits / trials
+
+
+def client_by_client_update(model, w, clients, rows, cfg, round_index) -> np.ndarray:
+    """The round's updates, each client trained alone one batch at a time
+    from np.random.default_rng streams keyed (master_seed, 3, round, id) for
+    the shuffle and (master_seed, 4, round, id) for dropout: the reference
+    for the engine's lockstep round."""
+    from byzweight.tasks import Dataset
+
+    seed, drops = cfg.master_seed, getattr(model, "dropout_rate", 0) > 0
+    updates = []
+    for client, data in zip(clients, rows):
+        if data is None:  # model negation
+            updates.append(-w)
+            continue
+        n, b = len(data), cfg.batch_size
+        if isinstance(b, float):
+            b = max(1, math.ceil(b * n))
+        shuffle = np.random.default_rng((seed, 3, round_index, client.id)) if n > 1 else None
+        dropout = np.random.default_rng((seed, 4, round_index, client.id)) if drops else None
+        v = np.array(w, dtype=float)
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(n) if shuffle is not None else np.arange(n)
+            for start in range(0, n, b):
+                batch = order[start : start + b]
+                grad = model.gradient(v, Dataset(data.features[batch], data.labels[batch]), dropout)
+                v = v - (cfg.eta * (len(batch) / b)) * grad
+        updates.append(v)
+    return np.array(updates)

@@ -19,6 +19,7 @@ from byzweight.certificate import (
     trimmed_window_start,
 )
 from byzweight.weights import WeightVector
+from oracles import per_trial_false_certification_rate
 
 
 def params(k=200, alpha=F(1, 5), alpha_star=F(1, 2), delta=0.05, cap=4):
@@ -166,6 +167,19 @@ def test_false_rate_zero_when_condition_holds():
     population = WeightVector.from_values([2] * 50)
     p = params(k=100, alpha=F(1, 5), alpha_star=F(1, 2), cap=4)
     assert false_certification_rate(population, p, trials=50, seed=1) == 0.0
+
+
+def test_false_rate_matches_per_trial_streams():
+    # batch-seeded trial streams draw what a fresh default_rng((seed, trial))
+    # per trial draws; this population is false-certified now and then
+    population = WeightVector.from_values([100] * 10 + [5] * 20)
+    p = params(k=100, alpha=F(1, 3), alpha_star=F(9, 10), delta=0.99, cap=100)
+    rates = []
+    for seed in (0, 1, 7, 2**32 + 5, 2**64 + 3):
+        rate = false_certification_rate(population, p, trials=2000, seed=seed)
+        assert rate == per_trial_false_certification_rate(population, p, 2000, seed)
+        rates.append(rate)
+    assert 0 < max(rates) < 0.01
 
 
 def test_false_rate_deterministic_and_bounded():

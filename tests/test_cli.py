@@ -152,6 +152,9 @@ BOUNDARY_CASES = [
     ("model", "hidden", "1", 1, True),
     ("model", "hidden", "0", 0, False),
     ("model", "hidden", "-1", -1, False),
+    ("seeds", "master", "0", 0, True),
+    ("seeds", "master", "4294967296", 2**32, True),
+    ("seeds", "master", "-3", -3, False),
 ]
 
 
@@ -181,6 +184,7 @@ OWNER_ROUTES = {
     "beta": [lambda v: TrimmedMean(v)],
     "dropout": [lambda v: OneHiddenMLP(20, 32, 10, v)],
     "hidden": [lambda v: OneHiddenMLP(20, v, 10, 0.2)],
+    "master": [lambda v: _train_config(master_seed=v)],
 }
 
 
@@ -455,6 +459,19 @@ def test_bound_command(tmp_path, capsys):
     assert lhs <= rhs + 1e-9
     assert main(["bound", "--config", str(tmp_path / "nope.ini"), "--u", "5"]) == 2
     capsys.readouterr()
+
+
+def test_negative_seeds_are_usage_errors(tmp_path, capsys):
+    # numpy refuses a negative seed with a ValueError; the commands report
+    # it as a usage error (exit 2) before anything runs, not as a traceback
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(SMALL.replace("master = 3", "master = -3"))
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "res")]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    cfgfile.write_text(SMALL)
+    assert main(["bound", "--config", str(cfgfile), "--u", "3", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_simulate_command_and_unknown_key(tmp_path, capsys):

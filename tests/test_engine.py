@@ -28,6 +28,7 @@ from byzweight.engine import (
     run_training,
     select_clients,
     stream,
+    streams,
 )
 from byzweight.tasks import (
     Dataset,
@@ -37,7 +38,7 @@ from byzweight.tasks import (
     split_by_sizes,
 )
 from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery
-from oracles import stable_trimmed_mean, stable_weighted_median
+from oracles import client_by_client_update, stable_trimmed_mean, stable_weighted_median
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,14 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
         built.append(keys)
         return stream(*keys)
 
+    def batch_spy(*parts):
+        # each key the batch seeds, as the tuple stream would be keyed on
+        cols = np.broadcast_arrays(*map(np.atleast_1d, parts))
+        built.extend(tuple(int(x) for x in key) for key in zip(*cols))
+        return streams(*parts)
+
     monkeypatch.setattr(engine, "stream", spy)
+    monkeypatch.setattr(engine, "streams", batch_spy)
     sizes = (1, 4, 1, 7, 2, 1)
     shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
     clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
@@ -190,15 +198,19 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
 )
 def test_lockstep_matches_each_client_alone(model):
     # a round of many clients gives every client the bits it gets when it
-    # is the only one training, i.e. when every gradient call is a stack of one
+    # is the only one training, i.e. when every gradient call is a stack of
+    # one, and the bits of a plain client-by-client loop over default_rng
+    # streams; in full rounds and in rounds of sampled clients
     rng = np.random.default_rng(21)
+    behaviors = ["honest", "honest", "label_shift", "model_negation"]
     for trial in range(8):
         sizes = [int(x) for x in rng.choice([1, 1, 1, 2, 3, 4, 7, 12], size=14)]
         data = generate_blobs(sum(sizes), dim=5, classes=3, seed=trial)
         shards = split_by_sizes(data, sizes, seed=trial + 50)
         clients = []
         for cid, shard in enumerate(shards):
-            behavior = Behavior(rng.choice(["honest", "honest", "label_shift", "model_negation"]))
+            # every round holds label-shift and negation lanes
+            behavior = Behavior(behaviors[cid % 4] if cid < 4 else rng.choice(behaviors))
             declared = len(shard) if behavior is Behavior.HONEST else 40
             clients.append(ClientSpec(cid, shard, declared, behavior))
         cfg = toy_config(
@@ -210,13 +222,64 @@ def test_lockstep_matches_each_client_alone(model):
         )
         rows = [engine._training_rows(model, c, cfg, int(rng.integers(1, 10))) for c in clients]
         w = model.init_params(np.random.default_rng(trial)) + 0.1
-        together = client_update(model, w, clients, rows, cfg, 4)
-        assert together.shape == (len(clients), model.param_count)
-        for i, (client, r) in enumerate(zip(clients, rows)):
-            alone = client_update(model, w, [client], [r], cfg, 4)
-            assert np.array_equal(together[i], alone[0])
-            if client.behavior is Behavior.MODEL_NEGATION:
-                assert np.array_equal(together[i], -w)
+        for per_round in (None, 5, 0.5):
+            chosen = select_clients(4, len(clients), per_round, trial)
+            picked = [clients[cid] for cid in chosen]
+            picked_rows = [rows[cid] for cid in chosen]
+            together = client_update(model, w, picked, picked_rows, cfg, 4)
+            assert together.shape == (len(chosen), model.param_count)
+            reference = client_by_client_update(model, w, picked, picked_rows, cfg, 4)
+            assert together.tobytes() == reference.tobytes()
+            for i, (client, r) in enumerate(zip(picked, picked_rows)):
+                alone = client_update(model, w, [client], [r], cfg, 4)
+                assert np.array_equal(together[i], alone[0])
+                if client.behavior is Behavior.MODEL_NEGATION:
+                    assert np.array_equal(together[i], -w)
+
+
+SEED_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+
+
+def test_streams_match_default_rng():
+    # batch seeding reproduces np.random.default_rng(key) exactly; a numpy
+    # release that seeds differently fails here first
+    mixed = np.array(SEED_PARTS, dtype=object)  # keys of 1, 2 and 3 words in one batch
+    batches = [(a, b) for a in SEED_PARTS for b in SEED_PARTS]
+    batches += [(a, mixed) for a in SEED_PARTS] + [(mixed, a) for a in SEED_PARTS]
+    batches += [(a, 3, b, mixed) for a in SEED_PARTS for b in SEED_PARTS]
+    batches += [(a, mixed, 3, b) for a in SEED_PARTS for b in SEED_PARTS]
+    batches += [(9, 3, 4, np.arange(20)), (9, np.array([0, 2**32 - 1, 2**32, 2**64 - 1], np.uint64))]
+    for parts in batches:
+        keys = list(zip(*np.broadcast_arrays(*map(np.atleast_1d, parts))))
+        got = streams(*parts)
+        for key in keys:
+            want = np.random.default_rng(tuple(int(k) for k in key))
+            rng = next(got)
+            assert rng.bit_generator.state == want.bit_generator.state, key
+            assert np.array_equal(rng.permutation(10), want.permutation(10)), key
+            assert np.array_equal(rng.choice(1000, size=5), want.choice(1000, size=5)), key
+        assert next(got, None) is None
+    for parts in [(3, -1), (-1, 3, 4, 5), (3, np.array([1, -2]))]:
+        with pytest.raises(ValueError):
+            next(streams(*parts))
+
+
+def test_equal_length_batches_share_one_gradient_call(monkeypatch):
+    # one step of lengths 3, 1, 3, 1, 3: two stacked calls, not five
+    calls = []
+    model = SoftmaxRegression(dim=4, classes=3)
+    gradient = model.gradient
+
+    def spy(w, batch, rngs=None):
+        calls.append(batch.features.shape[:2])
+        return gradient(w, batch, rngs)
+
+    monkeypatch.setattr(SoftmaxRegression, "gradient", lambda self, *a: spy(*a))
+    sizes = (3, 1, 3, 1, 3)
+    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
+    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
+    client_update(model, np.zeros(model.param_count), clients, shards, toy_config(batch_size=3), 1)
+    assert sorted(calls) == [(2, 1), (3, 3)]
 
 
 def test_fixed_subset_built_once_per_run(monkeypatch):
