@@ -1,7 +1,7 @@
 """Command-line front end: tradeoff, certify, bound, simulate.
 
-Exit codes: 0 success, 2 bad arguments or config, 3 infeasible or empty
-result, 4 certificate refused.  All file output is CSV with \\n endings.
+Exit codes: 0 success, 2 bad arguments, config or file, 3 infeasible or
+empty result, 4 certificate refused.  All file output is CSV with \\n endings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .certificate import (
     int64_weights,
 )
 from .config import ConfigError, read_config
-from .experiment import build_clients, build_model, build_task, run_grid
+from .experiment import build_clients, build_task, run_grid
 from .tasks import objective_gap
 from .weights import (
     as_fraction,
@@ -39,11 +39,19 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _write(out_dir: str, name: str, text: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
 def cmd_tradeoff(args) -> int:
     try:
         weights = read_weights_file(args.weights)
         curve = tradeoff_curve(weights, args.alpha_star)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     if not curve.rows:
         print(
@@ -54,11 +62,7 @@ def cmd_tradeoff(args) -> int:
         return EXIT_INFEASIBLE
     text = curve.to_csv()
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "tradeoff.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        print(path)
+        print(_write(args.out_dir, "tradeoff.csv", text))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -80,14 +84,12 @@ def cmd_certify(args) -> int:
         result = certify_sample(sample, params)
     except AlphaTooSmall as exc:
         return _fail(f"sample size too small for this alpha: {exc}")
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     text = result.to_csv()
-    sys.stdout.write(text)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "certificate.csv"), "w", newline="") as fh:
-            fh.write(text)
+        _write(args.out_dir, "certificate.csv", text)
+    sys.stdout.write(text)
     return EXIT_OK if result.certified else EXIT_NOT_CERTIFIED
 
 
@@ -96,18 +98,17 @@ def cmd_bound(args) -> int:
         cfg = read_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc))
-    if args.u < 1:
-        return _fail("cap must be a positive integer")
     if args.seed < 0:
         return _fail("seed must be a non-negative integer")
     shards, _ = build_task(cfg)
-    scenario = cfg.scenarios[0]
-    clients = build_clients(cfg, scenario, shards)
+    clients = build_clients(cfg, cfg.scenarios[0], shards)
     declared = [c.declared_size for c in clients]
-    model = build_model(cfg)
-    rng = np.random.default_rng(args.seed)
-    w = rng.standard_normal(model.param_count) * 0.1
-    lhs, rhs = objective_gap(model, w, [c.data for c in clients], declared, args.u)
+    model = cfg.model()
+    w = np.random.default_rng(args.seed).standard_normal(model.param_count) * 0.1
+    try:
+        lhs, rhs = objective_gap(model, w, [c.data for c in clients], declared, args.u)
+    except ValueError as exc:
+        return _fail(str(exc))
     sys.stdout.write(f"lhs,rhs\n{lhs!r},{rhs!r}\n")
     return EXIT_OK if lhs <= rhs + 1e-9 else 1
 
@@ -175,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except OSError as exc:  # an unreadable input or an unusable --out-dir
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,12 +10,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import TrainConfig, TrimmedMean, participants_per_round
-from .tasks import OneHiddenMLP
-from .weights import Truncate, TruncationQuery, as_fraction
+from .engine import TrainConfig, TrimmedMean, WeightedMean, WeightedMedian, participants_per_round
+from .tasks import OneHiddenMLP, SoftmaxRegression
+from .weights import Ignore, Passthrough, Truncate, TruncationQuery, as_fraction
 
-PREPROCESS_TOKENS = ("passthrough", "truncate", "ignore")
-AGGREGATOR_TOKENS = ("mean", "median", "trimmed")
+# One table per cell axis: token -> the object it builds from the config.
+# Key order is the default grid order, and so the row order of summary.csv.
+_PREPROCESS = {
+    "passthrough": lambda cfg: Passthrough(),
+    "truncate": lambda cfg: Truncate(TruncationQuery(cfg.alpha, cfg.alpha_star)),
+    "ignore": lambda cfg: Ignore(),
+}
+_AGGREGATORS = {
+    "mean": lambda cfg: WeightedMean(),
+    "median": lambda cfg: WeightedMedian(),
+    "trimmed": lambda cfg: TrimmedMean(cfg.beta),
+}
+_MODELS = {
+    "softmax": lambda cfg: SoftmaxRegression(cfg.dim, cfg.classes),
+    "mlp": lambda cfg: OneHiddenMLP(cfg.dim, cfg.hidden, cfg.classes, cfg.dropout),
+}
 SCENARIO_TOKENS = (
     "none",
     "negation_single",
@@ -23,7 +37,6 @@ SCENARIO_TOKENS = (
     "label_shift_single",
     "label_shift_fraction",
 )
-MODEL_TOKENS = ("softmax", "mlp")
 
 
 class ConfigError(ValueError):
@@ -53,11 +66,11 @@ class ExperimentConfig:
     clients_per_round: Optional[Union[int, float]] = None
     honest_use_all_samples: bool = True
     # [preprocess]
-    preprocess_modes: tuple[str, ...] = PREPROCESS_TOKENS
+    preprocess_modes: tuple[str, ...] = tuple(_PREPROCESS)
     alpha: Fraction = Fraction(1, 10)
     alpha_star: Fraction = Fraction(1, 2)
     # [aggregator]
-    aggregator_kinds: tuple[str, ...] = AGGREGATOR_TOKENS
+    aggregator_kinds: tuple[str, ...] = tuple(_AGGREGATORS)
     beta: float = 0.1
     # [attack]
     scenarios: tuple[str, ...] = ("none",)
@@ -78,27 +91,36 @@ class ExperimentConfig:
             raise ConfigError("need train_samples >= clients >= 1")
         if self.test_samples < 1:
             raise ConfigError("test_samples must be positive")
-        if self.model_kind not in MODEL_TOKENS:
-            raise ConfigError(f"model kind must be one of {MODEL_TOKENS}")
-        _check_tokens(self.preprocess_modes, PREPROCESS_TOKENS, "preprocess mode")
-        _check_tokens(self.aggregator_kinds, AGGREGATOR_TOKENS, "aggregator kind")
+        if self.model_kind not in _MODELS:
+            raise ConfigError(f"model kind must be one of {tuple(_MODELS)}")
+        _check_tokens(self.preprocess_modes, _PREPROCESS, "preprocess mode")
+        _check_tokens(self.aggregator_kinds, _AGGREGATORS, "aggregator kind")
         _check_tokens(self.scenarios, SCENARIO_TOKENS, "attack scenario")
         if not 0 < self.attacker_fraction < 1:
             raise ConfigError("attacker fraction must lie in (0, 1)")
         if self.declared_single < 1 or self.declared_fraction < 1:
             raise ConfigError("declared sizes must be positive")
-        # Every other value is proved by building the type that uses it, for
-        # every model kind and mode, so no rule is restated here.
+        # Every other value is proved by the build a run makes, with the mode,
+        # aggregator and model that read the most values, so no rule is
+        # restated here.
         try:
-            query = TruncationQuery(self.alpha, self.alpha_star)
-            aggregator = TrimmedMean(self.beta)
-            TrainConfig(self.rounds, self.eta, self.epochs, self.batch_size, Truncate(query),
-                        aggregator, master_seed=self.master_seed)
-            OneHiddenMLP(self.dim, self.hidden, self.classes, self.dropout)
+            query = self.train_config("truncate", "trimmed").preprocess.query
+            _MODELS["mlp"](self)
             participants_per_round(self.clients_per_round, self.clients)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.alpha, self.alpha_star = query.alpha, query.alpha_star
+
+    def model(self):
+        return _MODELS[self.model_kind](self)
+
+    def train_config(self, preprocess: str, aggregator: str) -> TrainConfig:
+        """The TrainConfig of the grid cell with these preprocess and aggregator tokens."""
+        return TrainConfig(
+            self.rounds, self.eta, self.epochs, self.batch_size,
+            _PREPROCESS[preprocess](self), _AGGREGATORS[aggregator](self),
+            self.clients_per_round, self.honest_use_all_samples, self.master_seed,
+        )
 
 
 def _check_tokens(values, allowed, what) -> None:

@@ -21,33 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .engine import (
-    Behavior,
-    ClientSpec,
-    RoundMetrics,
-    TrainConfig,
-    TrimmedMean,
-    WeightedMean,
-    WeightedMedian,
-    metrics_to_csv,
-    run_training,
-    stream,
-)
-from .tasks import (
-    OneHiddenMLP,
-    PartitionSpec,
-    SoftmaxRegression,
-    generate_blobs,
-    generate_partition,
-    split_by_sizes,
-)
-from .weights import (
-    Ignore,
-    Passthrough,
-    PreprocessInfeasible,
-    Truncate,
-    TruncationQuery,
-)
+from .engine import Behavior, ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
+from .tasks import PartitionSpec, generate_blobs, generate_partition, split_by_sizes
+from .weights import PreprocessInfeasible
 
 # seed tags for task construction; the engine owns tags 1..5
 _TAG_TRAIN_DATA = 101
@@ -57,12 +33,6 @@ _TAG_SPLIT = 104
 _TAG_ATTACK = 105
 
 SUMMARY_HEADER = "preprocess,aggregator,attack,final_accuracy"
-
-
-def build_model(cfg: ExperimentConfig):
-    if cfg.model_kind == "mlp":
-        return OneHiddenMLP(cfg.dim, cfg.hidden, cfg.classes, cfg.dropout)
-    return SoftmaxRegression(cfg.dim, cfg.classes)
 
 
 def build_task(cfg: ExperimentConfig):
@@ -125,22 +95,6 @@ def build_clients(cfg: ExperimentConfig, scenario: str, shards) -> list[ClientSp
     return clients
 
 
-def _preprocess_mode(cfg: ExperimentConfig, token: str):
-    if token == "passthrough":
-        return Passthrough()
-    if token == "ignore":
-        return Ignore()
-    return Truncate(TruncationQuery(cfg.alpha, cfg.alpha_star))
-
-
-def _aggregator(cfg: ExperimentConfig, token: str):
-    if token == "mean":
-        return WeightedMean()
-    if token == "median":
-        return WeightedMedian()
-    return TrimmedMean(cfg.beta)
-
-
 def metrics_filename(preprocess: str, aggregator: str, attack: str) -> str:
     return f"metrics_{preprocess}_{aggregator}_{attack}.csv"
 
@@ -159,20 +113,9 @@ def run_cell(
 ) -> CellResult:
     """Train one cell on the task that build_task(cfg) returned."""
     clients = build_clients(cfg, attack, shards)
-    model = build_model(cfg)
-    train_cfg = TrainConfig(
-        rounds=cfg.rounds,
-        eta=cfg.eta,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        preprocess=_preprocess_mode(cfg, preprocess),
-        aggregator=_aggregator(cfg, aggregator),
-        clients_per_round=cfg.clients_per_round,
-        honest_use_all_samples=cfg.honest_use_all_samples,
-        master_seed=cfg.master_seed,
-    )
+    train_cfg = cfg.train_config(preprocess, aggregator)
     try:
-        _, metrics = run_training(model, clients, test, train_cfg)
+        _, metrics = run_training(cfg.model(), clients, test, train_cfg)
     except PreprocessInfeasible:
         # the cell is unrunnable, not the experiment: record it as empty
         return CellResult(preprocess, aggregator, attack, math.nan, ())

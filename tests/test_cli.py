@@ -21,6 +21,7 @@ from byzweight.engine import (
     TrainConfig,
     TrimmedMean,
     WeightedMean,
+    WeightedMedian,
     select_clients,
 )
 from byzweight import experiment
@@ -30,11 +31,14 @@ from byzweight.experiment import (
     build_task,
     grid_cells,
     metrics_filename,
+    run_cell,
     run_grid,
 )
-from byzweight.tasks import OneHiddenMLP
+from byzweight.tasks import OneHiddenMLP, SoftmaxRegression
 from byzweight.weights import (
+    Ignore,
     Passthrough,
+    Truncate,
     TruncationQuery,
     WeightVector,
     tradeoff_curve,
@@ -76,7 +80,9 @@ def test_partial_file_fills_defaults():
     cfg = parse_config(SMALL)
     assert cfg.dim == 6 and cfg.clients == 8
     assert cfg.partition_sigma == 3.45
+    # the default token order is the row order of summary.csv
     assert cfg.preprocess_modes == ("passthrough", "truncate", "ignore")
+    assert cfg.aggregator_kinds == ("mean", "median", "trimmed")
     assert cfg.scenarios == ("none", "negation_single")
 
 
@@ -231,6 +237,37 @@ def test_batch_size_forms():
         parse_config("[training]\nbatch_size = 1.5\n")
 
 
+def test_every_token_builds_its_object():
+    cfg = parse_config("[preprocess]\nalpha = 0.2\nalpha_star = 3/4\n[aggregator]\nbeta = 0.25\n")
+    preprocess = {"passthrough": Passthrough(), "ignore": Ignore(),
+                  "truncate": Truncate(TruncationQuery(F(1, 5), F(3, 4)))}
+    aggregators = {"mean": WeightedMean(), "median": WeightedMedian(), "trimmed": TrimmedMean(0.25)}
+    assert set(preprocess) == set(cfg.preprocess_modes)
+    assert set(aggregators) == set(cfg.aggregator_kinds)
+    for p, mode in preprocess.items():
+        for a, aggregator in aggregators.items():
+            built = cfg.train_config(p, a)
+            assert type(built.preprocess) is type(mode) and built.preprocess == mode
+            assert type(built.aggregator) is type(aggregator) and built.aggregator == aggregator
+            assert (built.rounds, built.eta, built.epochs, built.batch_size) == (100, 0.3, 1, 50)
+            assert (built.clients_per_round, built.honest_use_all_samples, built.master_seed) == (
+                None, True, 0)
+    assert cfg.model() == SoftmaxRegression(20, 10)
+    mlp = parse_config("[model]\nkind = mlp\nhidden = 7\ndropout = 0.5\n").model()
+    assert type(mlp) is OneHiddenMLP and mlp == OneHiddenMLP(20, 7, 10, 0.5)
+
+
+def test_unknown_token_raises_instead_of_a_default():
+    cfg = ExperimentConfig()
+    with pytest.raises(KeyError):
+        cfg.train_config("squash", "mean")
+    with pytest.raises(KeyError):
+        cfg.train_config("truncate", "krum")
+    cfg.model_kind = "cnn"
+    with pytest.raises(KeyError):
+        cfg.model()
+
+
 # ---------------------------------------------------------------- experiment
 
 
@@ -268,6 +305,21 @@ def test_grid_layout_and_filenames():
     assert len(cells) == 3 * 3 * 2
     assert cells[0] == ("passthrough", "mean", "none")
     assert metrics_filename(*cells[0]) == "metrics_passthrough_mean_none.csv"
+
+
+def test_run_cell_trains_what_the_config_builds(monkeypatch):
+    cfg = parse_config(SMALL + "[model]\nkind = mlp\nhidden = 5\n")
+    shards, test = build_task(cfg)
+    seen = []
+
+    def spy(model, clients, test_set, train_cfg):
+        seen.append((model, train_cfg))
+        return None, []
+
+    monkeypatch.setattr(experiment, "run_training", spy)
+    for p, a, s in grid_cells(cfg):
+        run_cell(cfg, shards, test, p, a, s)
+        assert seen.pop() == (cfg.model(), cfg.train_config(p, a))
 
 
 def test_run_grid_writes_every_cell(tmp_path):
@@ -459,6 +511,34 @@ def test_bound_command(tmp_path, capsys):
     assert lhs <= rhs + 1e-9
     assert main(["bound", "--config", str(tmp_path / "nope.ini"), "--u", "5"]) == 2
     capsys.readouterr()
+
+
+def test_bound_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(SMALL)
+    assert main(["bound", "--config", str(cfgfile), "--u", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
+def test_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is the bound command's violation code, so no traceback exit
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [1, 1, 1, 1, 100])
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(SMALL)
+    for argv in (
+        ["tradeoff", "--weights", str(wfile), "--alpha-star", "1/2"],
+        ["certify", "--weights", str(wfile), "--k", "400", "--alpha", "1/5",
+         "--alpha-star", "0.4", "--delta", "0.05", "--u", "2"],
+        ["simulate", "--config", str(cfgfile)],
+    ):
+        assert main(argv + ["--out-dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+    assert blocker.read_text() == ""
 
 
 def test_negative_seeds_are_usage_errors(tmp_path, capsys):
