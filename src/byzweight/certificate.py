@@ -130,10 +130,12 @@ def certify_sample(sample, params: CertificateParams) -> CertificateResult:
     """Decide the share condition from one i.i.d. sample of capped weights.
 
     Certifies iff alpha * (trimmed top mean + eps2) / (sample mean - eps3)
-    is at most alpha_star and the denominator is positive.
+    is at most alpha_star and the denominator is positive.  An (m, k) stack
+    decides m samples at once; its result holds length-m arrays of the
+    verdicts, left-hand sides and means, each row equal to its own 1-D call.
     """
     values = int64_weights(sample)
-    if values.ndim != 1 or values.shape[0] != params.sample_size:
+    if values.ndim not in (1, 2) or values.shape[-1] != params.sample_size:
         raise ValueError(
             f"sample must hold exactly {params.sample_size} values, got shape {values.shape}"
         )
@@ -145,17 +147,20 @@ def certify_sample(sample, params: CertificateParams) -> CertificateResult:
         )
     m = margins(params)
     start = trimmed_window_start(params, m.eps1)
-    ordered = np.sort(values)
-    top_mean = float(ordered[start - 1:].mean())
-    sample_mean = float(ordered.mean())
+    ordered = np.sort(values.reshape(-1, params.sample_size), axis=1)
+    top_mean = ordered[:, start - 1:].mean(axis=1)
+    sample_mean = ordered.mean(axis=1)
     denom = sample_mean - m.eps3
-    if denom > 0:
-        lhs = float(params.alpha) * (top_mean + m.eps2) / denom
-        certified = lhs <= float(params.alpha_star)
-    else:
-        lhs = math.inf
-        certified = False
-    return CertificateResult(certified, lhs, m, top_mean, sample_mean)
+    lhs = np.full_like(denom, math.inf)
+    np.divide(float(params.alpha) * (top_mean + m.eps2), denom, out=lhs, where=denom > 0)
+    certified = lhs <= float(params.alpha_star)
+    if values.ndim == 2:
+        return CertificateResult(certified, lhs, m, top_mean, sample_mean)
+    return CertificateResult(bool(certified[0]), float(lhs[0]), m, float(top_mean[0]),
+                             float(sample_mean[0]))
+
+
+STACK_VALUES = 2**18  # sampled values per stack of Monte-Carlo trials
 
 
 def false_certification_rate(
@@ -168,7 +173,8 @@ def false_certification_rate(
     share condition.  Returns 0 outright when the condition holds (no
     certificate can then be false).  Each trial draws from its own
     (seed, trial) stream, so the result is reproducible and independent of
-    evaluation order.
+    evaluation order; the trials are checked in stacks of about STACK_VALUES
+    sampled values (at least one trial), which bounds the memory they take.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -176,5 +182,13 @@ def false_certification_rate(
     if top_share(capped, params.alpha) <= params.alpha_star:
         return 0.0
     values = int64_weights(capped.values)
-    return sum(certify_sample(rng.choice(values, size=params.sample_size), params).certified
-               for rng in streams(seed, np.arange(trials))) / trials
+    k = params.sample_size
+    block = np.empty((max(1, min(trials, STACK_VALUES // k)), k), dtype=np.int64)
+    draws = streams(seed, np.arange(trials))
+    hits = 0
+    for done in range(0, trials, len(block)):
+        stack = block[:trials - done]
+        for row, rng in zip(stack, draws):  # zip reads a row first, so no stream is skipped
+            row[:] = rng.choice(values, size=k)
+        hits += int(certify_sample(stack, params).certified.sum())
+    return hits / trials

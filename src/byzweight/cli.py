@@ -86,6 +86,8 @@ def cmd_certify(args) -> int:
         return _fail(f"sample size too small for this alpha: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail(f"a sample of {args.k} weights does not fit in memory; lower --k")
     text = result.to_csv()
     if args.out_dir:
         _write(args.out_dir, "certificate.csv", text)
@@ -98,8 +100,6 @@ def cmd_bound(args) -> int:
         cfg = read_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc))
-    if args.seed < 0:
-        return _fail("seed must be a non-negative integer")
     shards, _ = build_task(cfg)
     clients = build_clients(cfg, cfg.scenarios[0], shards)
     declared = [c.declared_size for c in clients]
@@ -176,6 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy's own message does not name the seed
+        return _fail("seed must be a non-negative integer")
     try:
         return args.run(args)
     except OSError as exc:  # an unreadable input or an unusable --out-dir

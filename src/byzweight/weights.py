@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class ZeroTotalWeight(ValueError):
@@ -154,42 +154,42 @@ def truncate(v: WeightVector, cap: int) -> WeightVector:
     return WeightVector(v.values[:i] + (cap,) * (len(v) - i), v.ids)
 
 
-def _crossing(
-    prefix: list[int], values: Sequence[int], j: int, u: int, p: int, q: int
-) -> tuple[int, int | None]:
-    """Find where the capped top-j share first exceeds p/q, walking up from u.
+def _crossings(values: Sequence[int], js: Iterable[int], p: int, q: int) -> Iterator[int | None]:
+    """For each top-group size j in `js` (decreasing), the largest integer cap
+    that keeps the capped top-j share at or below p/q, or None when no cap
+    of at least 1 does.  Stops once the uncapped vector meets the limit.
 
     Interval u (1-based) holds the caps between the u-th and (u+1)-th
     smallest weights; there the top-j share of the capped vector is
     (a + b*cap) / (c + d*cap), with a the weight of top-group clients at or
     below u, b the count of top-group clients above u, c the weight at or
-    below u and d the count of clients above u.  Returns the first interval
-    whose upper end exceeds the limit with the largest integer cap that
-    meets it, or None when even the interval's lower end (at least 1)
-    exceeds it.  Returns (len(values), None) when the uncapped vector meets
-    the limit.  `prefix` holds the running sums of `values`, starting at 0.
+    below u and d the count of clients above u.  The share exceeds p/q iff
+    r + s*cap > 0, with r = a*q - c*p and s = b*q - d*p.  Each j's answer
+    lies in the first interval whose upper end exceeds the limit; a smaller
+    j never needs an earlier interval, so u only moves upward across the
+    j's, and with prefix sums each j costs O(1) beyond that walk.
     """
     k = len(values)
-    lo = k - j  # the top group is the 0-based indices lo..k-1
-    while u < k:
-        upper = values[u]
-        c = prefix[u]
-        d = k - u
-        if lo < u:
-            a, b = c - prefix[lo], d
-        else:
-            a, b = 0, j
-        if upper == 0 or (a + b * upper) * q <= p * (c + d * upper):
+    prefix = list(accumulate(values, initial=0))
+    spare = q - p
+    u = 1
+    for j in js:
+        lo = k - j  # the top group is the 0-based indices lo..k-1
+        while u < k:
+            c, d = prefix[u], k - u
+            if lo < u:
+                r, s = c * spare - prefix[lo] * q, d * spare
+            else:
+                r, s = -c * p, j * q - d * p
+            if r + s * values[u] > 0:  # a zero weight has c = 0, so r = 0
+                break
             u += 1
-            continue
-        lower = max(1, values[u - 1])
-        if (a + b * lower) * q > p * (c + d * lower):
-            return u, None
-        # (a + b*cap)*q - p*(c + d*cap) is <= 0 at lower and > 0 at
-        # upper > lower, so its slope b*q - d*p is positive and the
-        # divisor below is negative, never zero.
-        return u, (a * q - c * p) // (d * p - b * q)
-    return u, None
+        else:
+            return
+        # r + s*cap is > 0 at the upper end, so where it is <= 0 at the lower
+        # end (at least 1) its slope s is positive and the cap it gives is at
+        # least that lower end
+        yield None if r + s * (values[u - 1] or 1) > 0 else r // -s
 
 
 def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutcome:
@@ -208,8 +208,7 @@ def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutco
         return TruncationOutcome(TruncationStatus.NO_TRUNCATION_NEEDED, None, share)
     k = len(v)
     j = k - math.floor((1 - alpha) * k)
-    prefix = list(accumulate(v.values, initial=0))
-    _, cap = _crossing(prefix, v.values, j, 1, limit.numerator, limit.denominator)
+    cap = next(_crossings(v.values, (j,), limit.numerator, limit.denominator), None)
     if cap is None:
         return TruncationOutcome(TruncationStatus.INFEASIBLE)
     return TruncationOutcome(TruncationStatus.SOLVED, cap, top_share(truncate(v, cap), alpha))
@@ -226,17 +225,9 @@ def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]
     """
     limit = TruncationQuery(1, alpha_star).alpha_star
     k = len(v)
-    p, q = limit.numerator, limit.denominator
-    prefix = list(accumulate(v.values, initial=0))
-    rows: list[tuple[int, int]] = []
-    u = 1
-    for j in range(math.floor(limit * k), 0, -1):
-        u, cap = _crossing(prefix, v.values, j, u, p, q)
-        if u == k:
-            break
-        if cap is not None:
-            rows.append((j, cap))
-    return TradeoffCurve(k, tuple(rows))
+    js = range(math.floor(limit * k), 0, -1)
+    caps = _crossings(v.values, js, limit.numerator, limit.denominator)  # each >= 1 or None
+    return TradeoffCurve(k, tuple(filter(operator.itemgetter(1), zip(js, caps))))
 
 
 @dataclass(frozen=True)
@@ -281,13 +272,20 @@ def preprocess(v: WeightVector, mode: PreprocessMode) -> WeightVector:
 def read_weights_file(path) -> WeightVector:
     """Read one integer per line; blank lines and # comments are skipped."""
     with open(path) as fh:
-        if fh.seekable():  # one C-level pass; comments and bad lines take the loop below
+        if fh.seekable():  # one C-level pass; blank, comment and bad lines take the loop below
+            # text mode has turned \r and \r\n into \n, so splitting on \n alone
+            # gives the loop's lines; str.splitlines would also split on
+            # characters such as \x1c and U+2028 that the loop keeps inside a line
+            lines = fh.read().split("\n")
+            if not lines[-1]:
+                lines.pop()
             try:
-                values = list(map(int, filter(str.strip, fh)))
-                if values and min(values) >= 0:
-                    return WeightVector.from_values(values)
+                values = list(map(int, lines))
             except ValueError:
-                pass
+                values = []
+            del lines  # before the sort, which builds lists of its own
+            if values and min(values) >= 0:
+                return WeightVector.from_values(values)
             fh.seek(0)
         values = []
         for lineno, raw in enumerate(fh, start=1):

@@ -4,7 +4,9 @@ Everything here recomputes results from definitions: shares by sorting and
 summing, caps either by trying every integer (scan_outcome, for small
 values) or by bisecting on the integer cap and confirming the boundary
 (bisect_outcome, for values up to 10^6), optimality by enumerating the full
-candidate box.  Nothing imports the closed-form solver internals.
+candidate box.  Nothing imports the closed-form solver internals; the
+earlier per-row interval sweep (_crossing) is kept here as a separate
+reference for the crossing kernel that replaced it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -117,6 +120,72 @@ def curve_by_repeated_solve(values, alpha_star: Fraction, solve, query_cls):
         elif out.status == "no_truncation_needed":
             break
     return tuple(pairs)
+
+
+# The per-row interval sweep the library ran before its crossing kernel, kept
+# verbatim as the reference for that kernel's rows and caps.
+
+def _crossing(
+    prefix: list[int], values: Sequence[int], j: int, u: int, p: int, q: int
+) -> tuple[int, int | None]:
+    """Find where the capped top-j share first exceeds p/q, walking up from u.
+
+    Interval u (1-based) holds the caps between the u-th and (u+1)-th
+    smallest weights; there the top-j share of the capped vector is
+    (a + b*cap) / (c + d*cap), with a the weight of top-group clients at or
+    below u, b the count of top-group clients above u, c the weight at or
+    below u and d the count of clients above u.  Returns the first interval
+    whose upper end exceeds the limit with the largest integer cap that
+    meets it, or None when even the interval's lower end (at least 1)
+    exceeds it.  Returns (len(values), None) when the uncapped vector meets
+    the limit.  `prefix` holds the running sums of `values`, starting at 0.
+    """
+    k = len(values)
+    lo = k - j  # the top group is the 0-based indices lo..k-1
+    while u < k:
+        upper = values[u]
+        c = prefix[u]
+        d = k - u
+        if lo < u:
+            a, b = c - prefix[lo], d
+        else:
+            a, b = 0, j
+        if upper == 0 or (a + b * upper) * q <= p * (c + d * upper):
+            u += 1
+            continue
+        lower = max(1, values[u - 1])
+        if (a + b * lower) * q > p * (c + d * lower):
+            return u, None
+        # (a + b*cap)*q - p*(c + d*cap) is <= 0 at lower and > 0 at
+        # upper > lower, so its slope b*q - d*p is positive and the
+        # divisor below is negative, never zero.
+        return u, (a * q - c * p) // (d * p - b * q)
+    return u, None
+
+
+def sweep_rows(values, alpha_star: Fraction) -> tuple[tuple[int, int], ...]:
+    """tradeoff_curve's (j, cap) rows from one _crossing call per grid point."""
+    values = sorted(values)
+    k = len(values)
+    p, q = alpha_star.numerator, alpha_star.denominator
+    prefix = list(itertools.accumulate(values, initial=0))
+    rows = []
+    u = 1
+    for j in range(math.floor(alpha_star * k), 0, -1):
+        u, cap = _crossing(prefix, values, j, u, p, q)
+        if u == k:
+            break
+        if cap is not None:
+            rows.append((j, cap))
+    return tuple(rows)
+
+
+def sweep_cap(values, j: int, alpha_star: Fraction):
+    """The cap solve_truncation reads from a _crossing walk for top-group size j
+    (None when no cap of at least 1 meets the limit)."""
+    values = sorted(values)
+    prefix = list(itertools.accumulate(values, initial=0))
+    return _crossing(prefix, values, j, 1, alpha_star.numerator, alpha_star.denominator)[1]
 
 
 def _update_arrays(updates, weights):

@@ -8,10 +8,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from byzweight import certificate
 from byzweight.certificate import (
     CSV_HEADER,
+    STACK_VALUES,
     AlphaTooSmall,
     CertificateParams,
+    CertificateResult,
     ValueExceedsBound,
     certify_sample,
     false_certification_rate,
@@ -90,18 +93,21 @@ def _hand_certify(sample, p):
     top_mean = sum(top) / len(top)
     mean = sum(xs) / len(xs)
     if mean - eps3 <= 0:
-        return False
-    return alpha * (top_mean + eps2) / (mean - eps3) <= float(p.alpha_star)
+        return False, top_mean, mean
+    return alpha * (top_mean + eps2) / (mean - eps3) <= float(p.alpha_star), top_mean, mean
 
 
 def test_certify_matches_hand_evaluation():
-    population = np.array([1, 1, 1, 1, 4] * 200, dtype=np.int64)
-    p = params(k=500, alpha=F(1, 5), alpha_star=F(1, 2), delta=0.05, cap=4)
-    for seed in range(12):
-        rng = np.random.default_rng(seed)
-        sample = rng.choice(population, size=500, replace=True)
-        got = certify_sample(sample, p)
-        assert got.certified == _hand_certify(sample, p), seed
+    # the second population's distinct values move the top mean with any
+    # shift of the window's first index
+    for population, cap in ([1, 1, 1, 1, 4] * 200, 4), (list(range(1, 41)), 40):
+        p = params(k=500, alpha=F(1, 5), alpha_star=F(1, 2), delta=0.05, cap=cap)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            sample = rng.choice(np.array(population), size=500, replace=True)
+            got = certify_sample(sample, p)
+            # small whole numbers sum exactly, so the means agree to the bit
+            assert (got.certified, got.top_mean, got.sample_mean) == _hand_certify(sample, p), seed
 
 
 def test_certify_constant_sample_closed_form():
@@ -131,6 +137,45 @@ def test_certify_input_validation():
         certify_sample([1, 2, 3], p)
     with pytest.raises(ValueError):
         certify_sample([1, 2, 3, -1], p)
+
+
+def test_stack_rows_match_one_sample_calls():
+    # each row of a stack decides as its own 1-D call, to the CSV byte;
+    # values near 2^62 make the float means inexact, so summation order shows
+    rng = np.random.default_rng(11)
+    cases = [
+        (params(k=200, alpha=F(1, 5), alpha_star=F(1, 2), cap=4), 4),
+        (params(k=300, alpha=F(1, 4), alpha_star=F(1, 2), cap=2**62), 2**62),
+        (params(k=200, alpha=F(1, 2), alpha_star=F(1, 2), cap=40), 1),  # mean below eps3
+    ]
+    for p, top in cases:
+        stack = rng.integers(0, top + 1, size=(7, p.sample_size), dtype=np.int64)
+        stack[3] = top  # a constant row
+        res = certify_sample(stack, p)
+        assert res.certified.shape == res.lhs.shape == (7,)
+        for i, row in enumerate(stack):
+            one = certify_sample(row, p)
+            assert isinstance(one.certified, bool) and isinstance(one.lhs, float)
+            got = CertificateResult(bool(res.certified[i]), float(res.lhs[i]), res.margins,
+                                    float(res.top_mean[i]), float(res.sample_mean[i]))
+            assert got == one and got.to_csv() == one.to_csv()
+    assert np.isinf(res.lhs).all() and not res.certified.any()
+
+
+def test_stack_input_validation():
+    # a bad value in any row refuses the whole stack, as it would its row
+    p = params(k=200, alpha=F(1, 2), cap=3)
+    good = np.tile(np.arange(200) % 4, (3, 1))
+    assert certify_sample(good, p).certified.shape == (3,)
+    for value, error in ((-1, ValueError), (4, ValueExceedsBound)):
+        bad = good.copy()
+        bad[2, 1] = value
+        with pytest.raises(error):
+            certify_sample(bad, p)
+    with pytest.raises(ValueError, match="exactly 200 values"):
+        certify_sample(good[:, :199], p)
+    with pytest.raises(ValueError, match="exactly 200 values"):
+        certify_sample(good[None], p)
 
 
 def test_weights_beyond_int64_raise_value_error():
@@ -180,6 +225,43 @@ def test_false_rate_matches_per_trial_streams():
         assert rate == per_trial_false_certification_rate(population, p, 2000, seed)
         rates.append(rate)
     assert 0 < max(rates) < 0.01
+    # trial counts around one stack, and samples so large a stack holds one.
+    # The top half of (1, 10, 10) is two clients, 20/21 of the weight, but a
+    # sample's top-half window sees only the 10s: most trials certify, so a
+    # trial lost or counted twice changes the rate
+    population = WeightVector.from_values([1, 10, 10])
+    p = params(k=100, alpha=F(1, 2), alpha_star=F(9, 10), delta=0.99, cap=10)
+    stack = STACK_VALUES // p.sample_size
+    for trials in (1, 2, stack - 1, stack, stack + 1):
+        rate = false_certification_rate(population, p, trials=trials, seed=7)
+        assert rate == per_trial_false_certification_rate(population, p, trials, 7), trials
+        assert 0 < rate < 1 or trials < 3
+    for k in (STACK_VALUES // 2, STACK_VALUES + 1):
+        big = params(k=k, alpha=F(1, 2), alpha_star=F(9, 10), delta=0.99, cap=10)
+        rate = false_certification_rate(population, big, trials=3, seed=7)
+        assert rate == per_trial_false_certification_rate(population, big, 3, 7) == 1.0
+
+
+def test_false_rate_checks_each_trial_once_in_order(monkeypatch):
+    # the stacks handed to certify_sample hold each trial's own draw exactly
+    # once, in trial order, and no more than STACK_VALUES values (or one trial)
+    seen = []
+
+    def spy(sample, p):
+        seen.append(np.array(sample))
+        return certify_sample(sample, p)
+
+    monkeypatch.setattr(certificate, "certify_sample", spy)
+    population = WeightVector.from_values([1, 10, 10])
+    for k in (100, STACK_VALUES // 2, STACK_VALUES + 1):
+        p = params(k=k, alpha=F(1, 2), alpha_star=F(9, 10), delta=0.99, cap=10)
+        stack = max(1, STACK_VALUES // k)
+        for trials in (1, stack + 1, 2 * stack + 1):
+            seen.clear()
+            false_certification_rate(population, p, trials=trials, seed=7)
+            assert all(s.ndim == 2 and s.size <= max(STACK_VALUES, k) for s in seen)
+            want = [np.random.default_rng((7, t)).choice([1, 10, 10], size=k) for t in range(trials)]
+            np.testing.assert_array_equal(np.concatenate(seen), want)
 
 
 def test_false_rate_deterministic_and_bounded():

@@ -550,8 +550,30 @@ def test_negative_seeds_are_usage_errors(tmp_path, capsys):
     assert "master_seed" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     cfgfile.write_text(SMALL)
-    assert main(["bound", "--config", str(cfgfile), "--u", "3", "--seed", "-1"]) == 2
-    assert "seed" in capsys.readouterr().err
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [1] * 50)
+    for argv in (
+        ["bound", "--config", str(cfgfile), "--u", "3"],
+        ["certify", "--weights", str(wfile), "--k", "400", "--alpha", "1/5",
+         "--alpha-star", "0.4", "--delta", "0.05", "--u", "2", "--out-dir", str(tmp_path / "res")],
+    ):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer\n" and captured.out == ""
+    assert not (tmp_path / "res").exists()
+
+
+def test_certify_sample_too_large_for_memory_is_a_usage_error(tmp_path, capsys):
+    # 10^13 int64 draws (72.8 TiB) are refused by the allocator at once;
+    # that is a usage error (exit 2) naming the size, not a traceback
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [1, 2, 3, 100])
+    argv = ["certify", "--weights", str(wfile), "--k", str(10**13), "--alpha", "1/2",
+            "--alpha-star", "1/2", "--delta", "0.05", "--u", "50"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: a sample of {10**13} weights does not fit in memory")
 
 
 def test_simulate_command_and_unknown_key(tmp_path, capsys):

@@ -23,7 +23,7 @@ from byzweight.weights import (
     TruncationStatus,
     WeightVector,
     ZeroTotalWeight,
-    _crossing,
+    _crossings,
     preprocess,
     read_weights_file,
     solve_truncation,
@@ -32,7 +32,15 @@ from byzweight.weights import (
     truncate,
 )
 
-from oracles import bisect_outcome, reference_top_share, scan_outcome, curve_by_repeated_solve
+from oracles import (
+    _crossing,
+    bisect_outcome,
+    curve_by_repeated_solve,
+    reference_top_share,
+    scan_outcome,
+    sweep_cap,
+    sweep_rows,
+)
 
 
 def wv(*values):
@@ -159,6 +167,47 @@ def test_interval_solve_hand_values():
     prefix = list(accumulate(v.values, initial=0))
     assert _crossing(prefix, v.values, 2, 4, 1, 2) == (4, 2)
     assert _crossing(prefix, v.values, 1, 4, 1, 2) == (4, 4)
+    assert list(_crossings(v.values, (2, 1), 1, 2)) == [2, 4]
+    # at alpha 3/5 (j = 3) no cap of at least 1 meets 1/2; the flat vector
+    # meets it on its own, so the kernel stops without an answer
+    assert list(_crossings(v.values, (3,), 1, 2)) == [None]
+    assert list(_crossings(wv(2, 2, 2, 2).values, (2, 1), 1, 2)) == []
+
+
+def _kernel_vector(rng):
+    # leading zeros, runs of ties, and values from 1 up to beyond 2^63
+    k = int(rng.integers(1, 501))
+    top = int(rng.choice([3, 50, 10**7, 2**64, 2**70]))
+    distinct = [int(x) for x in rng.integers(1, min(top, 2**62), size=int(rng.integers(1, 6)))]
+    distinct += [max(1, top - int(rng.integers(0, 5))) for _ in range(int(rng.integers(0, 3)))]
+    values = [distinct[i] for i in rng.integers(0, len(distinct), size=k)]
+    zeros = int(rng.integers(0, k + 1)) if rng.random() < 0.5 else 0
+    values[:zeros] = [0] * zeros
+    if not any(values):
+        values[-1] = top
+    return values
+
+
+def test_crossing_kernel_matches_per_row_sweep():
+    # the kernel's rows and caps against the per-row _crossing sweep it replaced
+    rng = np.random.default_rng(20261018)
+    hits = {"rows": 0, "solved": 0, "infeasible": 0}
+    for _ in range(600):
+        values = _kernel_vector(rng)
+        q = int(rng.integers(2, 1001))
+        alpha_star = F(int(rng.integers(1, q)), q)
+        v = WeightVector.from_values(values)
+        rows = tradeoff_curve(v, alpha_star).rows
+        assert rows == sweep_rows(values, alpha_star), (values, alpha_star)
+        hits["rows"] += len(rows)
+        k = len(values)
+        for j in {int(x) for x in rng.integers(1, k + 1, size=3)}:
+            out = solve_truncation(v, TruncationQuery(F(j, k), alpha_star))
+            if out.status == TruncationStatus.NO_TRUNCATION_NEEDED:
+                continue
+            assert out.cap == sweep_cap(values, j, alpha_star), (values, alpha_star, j)
+            hits[out.status] += 1
+    assert min(hits.values()) > 50, hits
 
 
 def test_solve_hand_values():
@@ -404,6 +453,9 @@ def test_weights_file_errors(tmp_path):
     assert _read_error(path, "# nothing\n") == f"{path}: no weights found"
     assert _read_error(path, "# one\n\n   \n# two") == f"{path}: no weights found"
     assert _read_error(path, "") == f"{path}: no weights found"
+    # characters str.splitlines would break a line at stay inside it
+    for line in ("5\x1c6", "5\u20286"):
+        assert _read_error(path, line + "\n7\n") == f"{path}:1: not an integer: {line!r}"
 
 
 def test_weights_file_reports_the_first_bad_line(tmp_path):
