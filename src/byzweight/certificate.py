@@ -42,8 +42,8 @@ class CertificateParams:
             raise ValueError("sample_size must be positive")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.cap < 0:
-            raise ValueError("cap must be non-negative")
+        if self.cap < 1:
+            raise ValueError("cap must be positive")
         query = TruncationQuery(self.alpha, self.alpha_star)
         object.__setattr__(self, "alpha", query.alpha)
         object.__setattr__(self, "alpha_star", query.alpha_star)

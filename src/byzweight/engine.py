@@ -10,7 +10,8 @@ how client work is scheduled.
 
 A round's clients train in lockstep (client_update), which changes no bit,
 and their updates form one matrix in ascending client id.  The median and
-trimmed mean rank a client-major copy of it, ties in client order.
+trimmed mean rank client-major copies of it, a cache-sized block of columns
+at a time, ties in client order.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
@@ -208,13 +209,13 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: int):
-    """The rows a client trains on in every round; None for a model-negation
+def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: int) -> Dataset:
+    """The rows a client trains on in every round; none for a model-negation
     attacker.  Without honest_use_all_samples, a fixed subset of at most
     effective_size rows; under label shift, labels y become (classes-1)-y."""
-    if client.behavior is Behavior.MODEL_NEGATION:
-        return None
     data = client.data
+    if client.behavior is Behavior.MODEL_NEGATION:
+        return Dataset(data.features[:0], data.labels[:0])
     if not cfg.honest_use_all_samples:
         keep = min(effective_size, len(data))
         if keep < len(data):
@@ -226,16 +227,27 @@ def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: 
     return data
 
 
-def client_update(
-    model, w: np.ndarray, clients: Sequence[ClientSpec], rows: Sequence[Optional[Dataset]],
-    cfg: TrainConfig, round_index: int,
-) -> np.ndarray:
-    """One round of local work; row i of the result is client i's update.
+def _row_pool(rows: Sequence[Dataset]) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """Every client's training rows in one Dataset, with each client's first
+    row in it and its row count."""
+    count = np.array([len(data) for data in rows], dtype=np.int64)
+    pool = Dataset(np.concatenate([data.features for data in rows]),
+                   np.concatenate([data.labels for data in rows]))
+    return pool, np.cumsum(count) - count, count
 
-    A model-negation attacker's row is -w.  Every other client runs
-    cfg.epochs passes of mini-batch SGD from w over rows[i]; a short final
-    batch of r samples steps with its gradient scaled by r/batch_size, so
-    every sample contributes 1/batch_size of its gradient once per epoch.
+
+def client_update(
+    model, w: np.ndarray, clients: Sequence[ClientSpec], pool: Dataset, offset: np.ndarray,
+    n: np.ndarray, cfg: TrainConfig, round_index: int, updates: np.ndarray,
+) -> np.ndarray:
+    """One round of local work, written into updates (len(clients), P): row i
+    is client i's update, which trains on the n[i] pool rows from offset[i].
+
+    A client with no rows (a model-negation attacker) sends -w.  Every other
+    client runs cfg.epochs passes of mini-batch SGD from w over its rows; a
+    short final batch of r samples steps with its gradient scaled by
+    r/batch_size, so every sample contributes 1/batch_size of its gradient
+    once per epoch.
 
     The clients step in lockstep, and at each step the batches of equal
     length share stacked model.gradient calls.  No bit can change: each
@@ -245,50 +257,47 @@ def client_update(
     drawn in the client's batch order: shuffle, one permutation per epoch,
     for more than one row; dropout, one mask per batch, if dropout_rate > 0.
     """
-    updates = np.tile(w, (len(clients), 1))
-    updates[[i for i, data in enumerate(rows) if data is None]] = -w
-    if all(data is None for data in rows):
+    updates[:] = w
+    updates[n == 0] = -w
+    if not n.any():
         return updates
-    # client i's rows sit at offset[i] in the round's pool; an attacker has none
-    n = np.array([0 if data is None else len(data.labels) for data in rows], dtype=np.int64)
     b = cfg.batch_size
     b = np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
-    offset = np.cumsum(n) - n
-    pool = Dataset(np.concatenate([data.features for data in rows if data is not None]),
-                   np.concatenate([data.labels for data in rows if data is not None]))
     ids, many = np.array([client.id for client in clients], dtype=np.int64), n > 1
     shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
     perms = [[rng.permutation(k) for _ in range(cfg.epochs)] for rng, k in shuffles]
     drops = getattr(model, "dropout_rate", 0) > 0
-    dropout = [stream(cfg.master_seed, _TAG_DROPOUT, round_index, i) if drops and data is not None
-               else None for data, i in zip(rows, ids)]
-    # the schedule: each batch as (client, start, length), sorted by (step, length, client)
+    dropout = drops and [stream(cfg.master_seed, _TAG_DROPOUT, round_index, i) if k else None
+                         for k, i in zip(n.tolist(), ids.tolist())]
+    # the schedule: each batch as (client, start, length), sorted by (step, length, client);
+    # start counts rows in the round's order, client by client
     steps = -(-n // b)
     lane = np.repeat(np.arange(n.size), steps)
     step = np.arange(lane.size) - np.repeat(np.cumsum(steps) - steps, steps)
     length = np.minimum(b[lane], n[lane] - step * b[lane])
     order = np.lexsort((lane, length, step))
     lane, step, length = lane[order], step[order], length[order]
-    start, scale = offset[lane] + step * b[lane], cfg.eta * (length / b[lane])
+    start, scale = (np.cumsum(n) - n)[lane] + step * b[lane], cfg.eta * (length / b[lane])
     cuts = (np.flatnonzero((np.diff(step) != 0) | (np.diff(length) != 0)) + 1).tolist()
     stacks = []  # (first, end, batch length) in the sorted schedule
     for lo, hi in zip([0, *cuts], [*cuts, lane.size]):
         per = max(1, _STACK_ROWS // int(length[lo]))
         stacks += [(k, min(k + per, hi), int(length[lo])) for k in range(lo, hi, per)]
     for epoch in range(cfg.epochs):
-        index = np.repeat(offset, n)  # one gather per epoch; a one-row client stays put
+        index = np.repeat(offset, n)  # the round's rows in the pool; a one-row client stays put
         if perms:
             index[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
-        data = pool.subset(index)
         for lo, hi, size in stacks:
-            if hi - lo == 1:  # one client: its rows and parameters are slices
-                at, who = (None, slice(start[lo], start[lo] + size)), slice(lane[lo], lane[lo] + 1)
-            else:  # rows by index arithmetic
-                at, who = start[lo:hi, None] + np.arange(size), lane[lo:hi]
+            # one client's parameters are a view; several are gathered once and scattered back
+            who = slice(lane[lo], lane[lo] + 1) if hi - lo == 1 else lane[lo:hi]
+            params = updates[who]
             rngs = [dropout[i] for i in lane[lo:hi]] if drops else None
-            grad = model.gradient(updates[who], Dataset(data.features[at], data.labels[at]), rngs)
+            rows = pool.subset(index[start[lo:hi, None] + np.arange(size)])
+            grad = model.gradient(params, rows, rngs)
             grad *= scale[lo:hi, None]  # f * g == g * f bit for bit
-            updates[who] -= grad
+            params -= grad
+            if hi - lo > 1:
+                updates[who] = params
     return updates
 
 
@@ -306,26 +315,42 @@ def _as_arrays(updates, weights: Sequence[float]):
     return u, wt, total
 
 
-def _client_order(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The client-major (P, K) copy of u, and per row the clients ranked by
-    ascending value, ties in client order: argsort(kind="stable"), through
-    numpy's faster default sort.  Rows where neighbours tie (-0.0 == 0.0;
-    NaNs sort last, as one run) are sorted again on (run << bits) | client.
+def _blocks(u: np.ndarray):
+    """u's columns in blocks of about 2^15 values: each block's columns, and
+    its client-major (columns, K) copy, small enough to stay in cache."""
+    width = max(1, 2**15 // len(u))
+    for first in range(0, u.shape[1], width):
+        cols = slice(first, first + width)
+        yield cols, np.ascontiguousarray(u[:, cols].T)
+
+
+def _client_order(ut: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """numpy's faster default argsort of each row of a client-major block,
+    repaired in place into argsort(kind="stable"): the clients ranked by
+    ascending value, ties in client order.  Rows where neighbours tie
+    (-0.0 == 0.0; NaNs sort last, as one run) are sorted again on
+    (run << bits) | client.
     """
-    ut = np.ascontiguousarray(u.T)
-    order, ranked = np.argsort(ut, axis=1), np.sort(ut, axis=1)
+    ranked = np.sort(ut, axis=1)
     same = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
     rows = np.flatnonzero(same.any(axis=1))
     if rows.size:
-        bits = (len(u) - 1).bit_length()
-        key = ranked.view(np.int64)[: rows.size]  # reuse ranked's buffer: fresh pages fault
+        bits = (ut.shape[1] - 1).bit_length()
+        key = ranked.view(np.int64)[: rows.size]  # reuse ranked's buffer
         key[:, 0] = 0
         np.cumsum(~same[rows], axis=1, out=key[:, 1:])  # each rank's run
         key <<= bits
         key |= order[rows]
         key.sort(axis=1)
         order[rows] = np.bitwise_and(key, (1 << bits) - 1, out=key)
-    return ut, order
+    return order
+
+
+def _lower_median(ut: np.ndarray, order: np.ndarray, wt: np.ndarray, total: float) -> np.ndarray:
+    cum = wt[order]
+    np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
+    rows = np.arange(len(ut))
+    return ut[rows, order[rows, (cum >= total / 2).argmax(axis=1)]]
 
 
 def aggregate_weighted_mean(updates, weights: Sequence[float]) -> np.ndarray:
@@ -338,13 +363,21 @@ def aggregate_weighted_median(updates, weights: Sequence[float]) -> np.ndarray:
 
     Per coordinate: the smallest value whose cumulative weight, over values
     sorted ascending with ties in client order, reaches half the total.
+    With whole-number weights summing below 2^53 every partial sum is exact,
+    so numpy's unstable order crosses half the total in the same run of
+    equal values as the stable one.  Only a run's 0.0, -0.0 and NaN members
+    differ in bits, so only rows whose pick is one of them are repaired.
     """
     u, wt, total = _as_arrays(updates, weights)
-    ut, order = _client_order(u)
-    cum = wt[order]
-    np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
-    rows = np.arange(len(ut))
-    return ut[rows, order[rows, (cum >= total / 2).argmax(axis=1)]]
+    exact = total < 2**53 and not (wt % 1).any()
+    out = np.empty(u.shape[1])
+    for cols, ut in _blocks(u):
+        order = np.argsort(ut, axis=1)
+        pick = _lower_median(ut, order if exact else _client_order(ut, order), wt, total)
+        if exact and (redo := np.flatnonzero((pick == 0) | np.isnan(pick))).size:
+            pick[redo] = _lower_median(ut[redo], _client_order(ut[redo], order[redo]), wt, total)
+        out[cols] = pick
+    return out
 
 
 def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np.ndarray:
@@ -352,20 +385,21 @@ def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np
 
     A client straddling a trim boundary keeps only the fraction of its
     weight inside the surviving band, so the trimmed mass is exactly
-    beta * total on each side.  Ranked as in aggregate_weighted_median.
+    beta * total on each side.  Ranked as in aggregate_weighted_median, with
+    every row in the stable order: the band splits a run's weight by rank.
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
     u, wt, total = _as_arrays(updates, weights)
-    ut, order = _client_order(u)
-    ranked = np.take_along_axis(ut, order, axis=1)
-    lower = wt[order]  # each client's weight, turned in place into where its band starts
-    cum = np.cumsum(lower, axis=1)
     lo, hi = beta * total, (1 - beta) * total
-    np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
-    upper = np.minimum(cum, hi, out=cum)
-    surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
-    # (K, P) in lower's buffer: summed down axis 0 one client at a time, not pairwise
-    terms = np.multiply(surviving.T, ranked.T, out=lower.reshape(u.shape))
+    terms = np.empty(u.shape)  # (K, P), summed once down axis 0 one client at a time, not pairwise
+    for cols, ut in _blocks(u):
+        order = _client_order(ut, np.argsort(ut, axis=1))
+        lower = wt[order]  # each client's weight, turned in place into where its band starts
+        cum = np.cumsum(lower, axis=1)
+        np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
+        upper = np.minimum(cum, hi, out=cum)
+        surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
+        np.multiply(surviving.T, np.take_along_axis(ut, order, axis=1).T, out=terms[:, cols])
     return terms.sum(axis=0) / (total - 2 * beta * total)
 
 
@@ -422,11 +456,11 @@ def run_training(
 ) -> tuple[np.ndarray, list[RoundMetrics]]:
     """The full training loop; returns final parameters and per-round metrics.
 
-    Declared sizes are preprocessed, and each client's training rows built,
-    once before any round runs.  Within a round, client_update writes the
-    selected clients' updates into one matrix in ascending client id, which
-    the aggregator reads.  If aggregation ever produces a non-finite
-    parameter, the run stops with a final record flagged non-finite.
+    Declared sizes are preprocessed, and every client's training rows pooled,
+    once before any round runs.  Each round, client_update writes the
+    selected clients' updates into the run's one (m, P) matrix in ascending
+    client id, which the aggregator reads.  If aggregation ever produces a
+    non-finite parameter, the run stops with a final record flagged non-finite.
     """
     clients = sorted(clients, key=lambda c: c.id)
     ids = [c.id for c in clients]
@@ -435,15 +469,15 @@ def run_training(
     declared = WeightVector.from_values([c.declared_size for c in clients], ids)
     weight_of = preprocess(declared, cfg.preprocess).by_id()
 
-    rows = [_training_rows(model, c, cfg, weight_of[c.id]) for c in clients]
+    pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight_of[c.id]) for c in clients])
     w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
+    updates = np.empty((participants_per_round(cfg.clients_per_round, len(clients)), len(w)))
     metrics: list[RoundMetrics] = []
     for t in range(1, cfg.rounds + 1):
-        selected = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
-        chosen = [clients[cid] for cid in selected]
-        updates = client_update(model, w, chosen, [rows[cid] for cid in selected], cfg, t)
-        weights = [weight_of[cid] for cid in selected]
-        w = aggregate(cfg.aggregator, updates, weights)
+        at = list(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
+        chosen = [clients[cid] for cid in at]
+        client_update(model, w, chosen, pool, offset[at], n[at], cfg, t, updates)
+        w = aggregate(cfg.aggregator, updates, [weight_of[cid] for cid in at])
         norm = float(np.linalg.norm(w))
         if not np.all(np.isfinite(w)):
             metrics.append(RoundMetrics(t, math.nan, math.nan, norm, finite=False))

@@ -2,9 +2,10 @@
 
 A cell is one (preprocess mode, aggregator, attack scenario) combination.
 Cells share the same data, partition, and master seed, so any difference
-between their metric files comes from the cell axes alone.  The task is
-built once per grid and handed to every cell; a cell draws only from its own
-seeded streams, which keeps parallel runs byte-identical to sequential ones.
+between their metric files comes from the cell axes alone.  The task, and
+each scenario's clients, are built once per grid and handed to every cell;
+a cell draws only from its own seeded streams, which keeps parallel runs
+byte-identical to sequential ones.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ class CellResult:
 
 
 def run_cell(
-    cfg: ExperimentConfig, shards, test, preprocess: str, aggregator: str, attack: str
+    cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str, attack: str
 ) -> CellResult:
-    """Train one cell on the task that build_task(cfg) returned."""
-    clients = build_clients(cfg, attack, shards)
+    """Train one cell on build_clients(cfg, attack, shards) and the test set
+    of the task that build_task(cfg) returned."""
     train_cfg = cfg.train_config(preprocess, aggregator)
     try:
         _, metrics = run_training(cfg.model(), clients, test, train_cfg)
@@ -139,13 +140,13 @@ def summary_csv(results: list[CellResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# a pool worker's (shards, test), handed over once by _init_worker
+# a pool worker's (clients by scenario, test), handed over once by _init_worker
 _worker_task = None
 
 
-def _init_worker(shards, test) -> None:
+def _init_worker(clients, test) -> None:
     global _worker_task
-    _worker_task = (shards, test)
+    _worker_task = (clients, test)
     # a cell's matrices are small: more BLAS threads per worker only contend.
     # Without numpy's bundled OpenBLAS and its setter, threads stay as they are.
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -157,7 +158,8 @@ def _init_worker(shards, test) -> None:
 
 
 def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str):
-    return run_cell(cfg, *_worker_task, preprocess, aggregator, attack)
+    clients, test = _worker_task
+    return run_cell(cfg, clients[attack], test, preprocess, aggregator, attack)
 
 
 def run_grid(
@@ -165,19 +167,21 @@ def run_grid(
 ) -> list[CellResult]:
     """Run every cell, write one metrics CSV each plus summary.csv.
 
-    With jobs > 1, min(jobs, cells) pool workers each get the task once and
-    run one BLAS thread; jobs = 1 keeps the caller's BLAS setting.
+    Each scenario's clients are built once.  With jobs > 1, min(jobs, cells)
+    pool workers each get them and the test set once and run one BLAS thread;
+    jobs = 1 keeps the caller's BLAS setting.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
     shards, test = build_task(cfg)
+    clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
     cells = grid_cells(cfg)
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(shards, test)) as pool:
-            results = list(pool.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(clients, test)) as ex:
+            results = list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
     else:
-        results = list(map(run_cell, repeat(cfg), repeat(shards), repeat(test), *zip(*cells)))
+        results = [run_cell(cfg, clients[s], test, p, a, s) for p, a, s in cells]
     for r in results:
         name = metrics_filename(r.preprocess, r.aggregator, r.attack)
         with open(os.path.join(out, name), "w", newline="") as fh:

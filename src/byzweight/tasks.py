@@ -88,6 +88,8 @@ class Dataset:
         return self.features.shape[-1]
 
     def subset(self, idx) -> "Dataset":
+        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":  # take reads a mask as rows 0, 1
+            return Dataset(self.features.take(idx, axis=0), self.labels.take(idx, axis=0))
         return Dataset(self.features[idx], self.labels[idx])
 
 
@@ -117,20 +119,16 @@ def generate_blobs(
 
 
 def split_by_sizes(ds: Dataset, sizes, seed) -> list[Dataset]:
-    """Shuffle rows once, then hand out contiguous runs of the given sizes."""
+    """Shuffle rows once, then hand out contiguous runs of the given sizes,
+    each a view of the one shuffled copy."""
     size_list = [int(s) for s in sizes]
     if sum(size_list) != len(ds):
         raise SizeMismatch(
             f"sizes sum to {sum(size_list)} but the dataset holds {len(ds)} rows"
         )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ds))
-    shards = []
-    start = 0
-    for size in size_list:
-        shards.append(ds.subset(perm[start : start + size]))
-        start += size
-    return shards
+    shuffled = ds.subset(np.random.default_rng(seed).permutation(len(ds)))
+    ends = np.cumsum(size_list).tolist()
+    return [Dataset(shuffled.features[a:b], shuffled.labels[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 # ------------------------------------------------------------------- models

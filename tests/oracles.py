@@ -244,12 +244,13 @@ def client_by_client_update(model, w, clients, rows, cfg, round_index) -> np.nda
     from np.random.default_rng streams keyed (master_seed, 3, round, id) for
     the shuffle and (master_seed, 4, round, id) for dropout: the reference
     for the engine's lockstep round."""
+    from byzweight.engine import Behavior
     from byzweight.tasks import Dataset
 
     seed, drops = cfg.master_seed, getattr(model, "dropout_rate", 0) > 0
     updates = []
     for client, data in zip(clients, rows):
-        if data is None:  # model negation
+        if client.behavior is Behavior.MODEL_NEGATION:
             updates.append(-w)
             continue
         n, b = len(data), cfg.batch_size

@@ -21,7 +21,7 @@ from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.certificate import CertificateParams, false_certification_rate
 from byzweight.engine import aggregate_trimmed_mean, aggregate_weighted_median
-from byzweight.experiment import _init_worker, _run_cell_in_worker, build_task
+from byzweight.experiment import _init_worker, _run_cell_in_worker, build_clients, build_task
 from byzweight.tasks import (
     Dataset,
     OneHiddenMLP,
@@ -345,9 +345,12 @@ def _cell_worker(cell):
 def sim():
     workers = min(10, os.cpu_count() or 1)
     t0 = time.time()
-    # the same worker set-up as `simulate --jobs N`: the task, one BLAS thread
-    task = build_task(parse_config(ACCEPT_CONFIG))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=task) as pool:
+    # the same worker set-up as `simulate --jobs N`: each scenario's clients, the test set,
+    # one BLAS thread
+    cfg = parse_config(ACCEPT_CONFIG)
+    shards, test = build_task(cfg)
+    clients = {s: build_clients(cfg, s, shards) for s in {cell[2] for cell in GRID}}
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(clients, test)) as pool:
         acc = dict(pool.map(_cell_worker, GRID))
     return acc, time.time() - t0
 

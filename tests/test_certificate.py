@@ -37,9 +37,11 @@ def test_margin_hand_value():
 
 
 def test_margins_zero_cap():
-    m = margins(params(cap=0, alpha=F(1, 2)))
-    assert m.eps2 == 0.0 and m.eps3 == 0.0
-    assert m.eps1 > 0
+    # a cap below 1 leaves no weight to certify: refused, where cap 0 gave
+    # margins of 0 and an lhs of inf
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            params(cap=cap, alpha=F(1, 2))
 
 
 def test_margins_match_direct_formulas():

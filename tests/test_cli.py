@@ -318,7 +318,7 @@ def test_run_cell_trains_what_the_config_builds(monkeypatch):
 
     monkeypatch.setattr(experiment, "run_training", spy)
     for p, a, s in grid_cells(cfg):
-        run_cell(cfg, shards, test, p, a, s)
+        run_cell(cfg, build_clients(cfg, s, shards), test, p, a, s)
         assert seen.pop() == (cfg.model(), cfg.train_config(p, a))
 
 
@@ -519,6 +519,18 @@ def test_bound_cap_below_one_is_a_usage_error(tmp_path, capsys):
     assert main(["bound", "--config", str(cfgfile), "--u", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "cap" in captured.err
+
+
+def test_certify_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    # a zero cap printed false,inf,... and exited 4 (not certified)
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [1, 1, 1, 1, 100])
+    for cap in ("0", "-3"):
+        code = main(["certify", "--weights", str(wfile), "--k", "50", "--alpha", "1/2",
+                     "--alpha-star", "9/10", "--delta", "0.05", "--u", cap])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: cap must be positive\n"
 
 
 def test_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):

@@ -37,7 +37,7 @@ from byzweight.tasks import (
     generate_blobs,
     split_by_sizes,
 )
-from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery
+from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery, WeightVector, preprocess
 from oracles import client_by_client_update, stable_trimmed_mean, stable_weighted_median
 
 
@@ -69,11 +69,21 @@ def scalar_data(*zs):
     return Dataset(np.array(zs, dtype=float)[:, None], np.zeros(len(zs), dtype=np.int64))
 
 
+def round_update(model, w, clients, rows, cfg, round_index, chosen=None):
+    """client_update of the chosen clients (all by default) over one pool of
+    every client's rows, as run_training makes it."""
+    pool, offset, count = engine._row_pool(rows)
+    at = list(range(len(clients)) if chosen is None else chosen)
+    updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
+    picked = [clients[i] for i in at]
+    return client_update(model, w, picked, pool, offset[at], count[at], cfg, round_index, updates)
+
+
 def train_one(model, w, client, cfg, round_index, effective_size=None):
     """client_update for a round in which only this client trains."""
     size = len(client.data) if effective_size is None else effective_size
     rows = engine._training_rows(model, client, cfg, size)
-    return client_update(model, w, [client], [rows], cfg, round_index)[0]
+    return round_update(model, w, [client], [rows], cfg, round_index)[0]
 
 
 def toy_config(**kw):
@@ -226,15 +236,48 @@ def test_lockstep_matches_each_client_alone(model):
             chosen = select_clients(4, len(clients), per_round, trial)
             picked = [clients[cid] for cid in chosen]
             picked_rows = [rows[cid] for cid in chosen]
-            together = client_update(model, w, picked, picked_rows, cfg, 4)
+            together = round_update(model, w, clients, rows, cfg, 4, chosen)
             assert together.shape == (len(chosen), model.param_count)
             reference = client_by_client_update(model, w, picked, picked_rows, cfg, 4)
             assert together.tobytes() == reference.tobytes()
             for i, (client, r) in enumerate(zip(picked, picked_rows)):
-                alone = client_update(model, w, [client], [r], cfg, 4)
+                alone = round_update(model, w, [client], [r], cfg, 4)
                 assert np.array_equal(together[i], alone[0])
                 if client.behavior is Behavior.MODEL_NEGATION:
                     assert np.array_equal(together[i], -w)
+
+
+def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
+    # run_training pools every client's rows once; a round of sampled clients,
+    # not a prefix of the ids, trains each on its own rows of the pool (label
+    # shift and fixed subsets applied) with the bytes of a client-by-client loop
+    model = SoftmaxRegression(dim=5, classes=3)
+    rng = np.random.default_rng(31)
+    sizes = [int(x) for x in rng.choice([1, 2, 3, 5, 8, 13], size=16)]
+    shards = split_by_sizes(generate_blobs(sum(sizes), dim=5, classes=3, seed=4), sizes, seed=5)
+    odd = {2: Behavior.LABEL_SHIFT, 9: Behavior.LABEL_SHIFT, 5: Behavior.MODEL_NEGATION}
+    clients = [ClientSpec(cid, shard, 100 if cid in odd else len(shard), odd.get(cid, Behavior.HONEST))
+               for cid, shard in enumerate(shards)]
+    cfg = toy_config(rounds=6, eta=0.3, epochs=2, batch_size=2, clients_per_round=7,
+                     preprocess=Truncate(TruncationQuery("1/4", "1/3")),  # cap 3
+                     honest_use_all_samples=False, master_seed=12)
+    seen, update = [], engine.client_update
+
+    def spy(model, w, chosen, *rest):
+        seen.append((w.copy(), [c.id for c in chosen], update(model, w, chosen, *rest).copy()))
+        return seen[-1][2]
+
+    monkeypatch.setattr(engine, "client_update", spy)
+    run_training(model, clients, shards[0], cfg)
+    declared = WeightVector.from_values([c.declared_size for c in clients])
+    weight_of = preprocess(declared, cfg.preprocess).by_id()
+    rows = [engine._training_rows(model, c, cfg, weight_of[c.id]) for c in clients]
+    assert any(0 < len(r) < len(c.data) for r, c in zip(rows, clients))  # subsets in use
+    assert len(seen) == 6 and all(ids != list(range(7)) for _, ids, _ in seen)
+    assert {2, 5, 9} <= {cid for _, ids, _ in seen for cid in ids}
+    for t, (w, ids, got) in enumerate(seen, 1):
+        want = client_by_client_update(model, w, [clients[i] for i in ids], [rows[i] for i in ids], cfg, t)
+        assert got.tobytes() == want.tobytes()
 
 
 SEED_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
@@ -278,7 +321,7 @@ def test_equal_length_batches_share_one_gradient_call(monkeypatch):
     sizes = (3, 1, 3, 1, 3)
     shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
     clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
-    client_update(model, np.zeros(model.param_count), clients, shards, toy_config(batch_size=3), 1)
+    round_update(model, np.zeros(model.param_count), clients, shards, toy_config(batch_size=3), 1)
     assert sorted(calls) == [(2, 1), (3, 3)]
 
 
@@ -485,10 +528,96 @@ def test_robust_aggregators_match_stable_sort_bytes_at_workload_shape(k, p):
         assert_matches_stable_sort(u, rng.integers(0, 10, k))
 
 
+def zero_and_nan_runs(k: int, p: int, seed: int, fill: float):
+    """(k, p) updates whose lower median falls in a run of fill (0.0 or NaN)
+    holding both signs, and integer weights with zeros inside the run."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((k, p))
+    if np.isnan(fill):
+        u = np.abs(u)  # NaN ranks last: keep most mass in the NaN run
+    run = rng.random((k, p)) < 0.6
+    u[run] = rng.choice([fill, -fill], run.sum())
+    return u, rng.integers(0, 3, k)
+
+
+def spy_client_order(monkeypatch) -> list:
+    """Record how many rows each _client_order call repairs."""
+    ranked, client_order = [], engine._client_order
+
+    def spy(ut, order):
+        ranked.append(len(ut))
+        return client_order(ut, order)
+
+    monkeypatch.setattr(engine, "_client_order", spy)
+    return ranked
+
+
+@pytest.mark.parametrize("k", [7, 100, 2000])
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["signed_zero", "nan"])
+def test_exact_weight_median_ranks_only_zero_and_nan_picks(monkeypatch, k, fill):
+    # whole-number weights: numpy's unstable order picks from the right run,
+    # and only rows whose pick is 0.0, -0.0 or NaN are repaired and crossed again
+    ranked = spy_client_order(monkeypatch)
+    for seed in range(4):
+        u, weights = zero_and_nan_runs(k, 40, seed, fill)
+        clean = np.random.default_rng(seed).standard_normal((k, 40))
+        for w in (weights, weights * 3.0):  # int64, and whole-number floats
+            assert aggregate_weighted_median(u, w).tobytes() == stable_weighted_median(u, w).tobytes()
+            assert aggregate_weighted_median(clean, w).tobytes() == stable_weighted_median(clean, w).tobytes()
+    assert 0 < sum(ranked) <= 4 * 2 * 40  # only the run's rows, once per call
+    ranked.clear()
+    aggregate_weighted_median(np.random.default_rng(0).standard_normal((k, 40)), np.arange(k) % 3)
+    assert ranked == []
+
+
+def test_median_above_2_53_takes_the_full_repair(monkeypatch):
+    # partial sums past 2^53 round, so the order within a run can move the
+    # crossing: every row is repaired, as for float weights
+    ranked = spy_client_order(monkeypatch)
+    rng = np.random.default_rng(5)
+    u = rng.integers(-2, 3, (300, 20)) + 0.5  # long runs of equal values, no zeros
+    for weights in ([2**53] + [1, 2] * 149 + [3], [2**52] * 2 + [1, 3] * 149):
+        assert sum(weights) > 2**53
+        got = aggregate_weighted_median(u, weights)
+        assert got.tobytes() == stable_weighted_median(u, weights).tobytes()
+    assert ranked == [20, 20]
+    ranked.clear()
+    aggregate_weighted_median(u, rng.random(300))  # float weights: every row too
+    aggregate_weighted_median(u, np.full(300, 0.5))
+    aggregate_weighted_median(u, [2**52] + [1] * 299)  # exact below 2^53: none
+    assert ranked == [20, 20]
+
+
+def test_robust_aggregators_with_blocks_of_one_column():
+    # K >= 2^15 puts one column in a block; the trimmed mean still sums
+    # down the clients one at a time, never pairwise down a contiguous column
+    k = 2**15 + 3
+    u, weights = zero_and_nan_runs(k, 3, 1, 0.0)
+    u[:, 2] = np.random.default_rng(2).standard_normal(k) * 1e3
+    assert_matches_stable_sort(u, weights)
+    assert_matches_stable_sort(*zero_and_nan_runs(k, 2, 3, np.nan))
+
+
+def test_trimmed_mean_sums_the_full_width_once():
+    # (2 000, 211) with NaN and inf: 211 columns are not a whole number of
+    # 16-column blocks, and NaN bits change if the blocks are summed apart
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((2000, 211))
+    special = rng.random(u.shape) < 0.05
+    u[special] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], special.sum())
+    u[:, 200:] = rng.choice([np.inf, -np.inf, np.nan, 1.0], (2000, 11))
+    weights = rng.integers(0, 10, 2000)
+    with np.errstate(invalid="ignore"):
+        for beta in (0.0, 0.1, 0.25):
+            want = stable_trimmed_mean(u, weights, beta)
+            assert np.isnan(want).any()
+            assert aggregate_trimmed_mean(u, weights, beta).tobytes() == want.tobytes()
+
+
 def test_client_order_is_stable_argsort():
     u = np.array([[0.0, 2.0], [-0.0, np.nan], [1.0, 2.0], [0.0, np.nan], [-1.0, -np.inf]])
-    ut, order = engine._client_order(u)
-    assert np.array_equal(ut, u.T, equal_nan=True) and ut.flags.c_contiguous
+    ut = np.ascontiguousarray(u.T)
+    order = engine._client_order(ut, np.argsort(ut, axis=1))
     assert order.tolist() == [[4, 0, 1, 3, 2], [4, 0, 2, 1, 3]]
     # the lower median of 0.0, -0.0, 0.0 is the second in client order
     assert np.signbit(aggregate_weighted_median([[0.0], [-0.0], [0.0]], [1, 1, 1])[0])
@@ -595,8 +724,6 @@ def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
         clients_per_round=4,
     )
     run_training(model, clients, test, cfg)
-    from byzweight.weights import WeightVector, preprocess
-
     declared = WeightVector.from_values([c.declared_size for c in clients], range(6))
     expected = preprocess(declared, cfg.preprocess).by_id()
     assert len(seen) == 3

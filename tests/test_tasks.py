@@ -115,6 +115,38 @@ def test_split_by_sizes_exact_and_disjoint():
         split_by_sizes(ds, [10, 30], seed=5)
 
 
+def test_split_by_sizes_hands_out_views_of_one_shuffle():
+    # shard i is rows perm[start:start + size] of the seed's permutation, as
+    # its own gather made them, and all shards share the one shuffled copy
+    ds = generate_blobs(50, dim=4, classes=3, seed=2)
+    sizes = [1, 7, 1, 30, 11]
+    shards = split_by_sizes(ds, sizes, seed=9)
+    perm = np.random.default_rng(9).permutation(50)
+    ends = np.cumsum(sizes)
+    for shard, start, end in zip(shards, ends - sizes, ends):
+        assert shard.features.tobytes() == ds.features[perm[start:end]].tobytes()
+        assert shard.labels.tobytes() == ds.labels[perm[start:end]].tobytes()
+        assert shard.features.base is shards[0].features.base is not None
+
+
+def test_subset_by_indices_mask_and_stack():
+    ds = generate_blobs(6, dim=3, classes=3, seed=4)
+    picked = ds.subset(np.array([4, 0, 4, -1]))
+    assert picked.features.tobytes() == ds.features[[4, 0, 4, 5]].tobytes()
+    assert picked.labels.tolist() == ds.labels[[4, 0, 4, 5]].tolist()
+    # a boolean mask selects the rows where it is true, not rows 0 and 1
+    mask = np.array([False, True, False, False, True, True])
+    masked = ds.subset(mask)
+    assert masked.features.tobytes() == ds.features[[1, 4, 5]].tobytes()
+    assert masked.labels.tolist() == ds.labels[[1, 4, 5]].tolist()
+    # a 2-D index gathers a stack of batches for the stacked gradient
+    stack = ds.subset(np.array([[0, 1], [5, 2]], dtype=np.uint64))
+    assert stack.features.shape == (2, 2, 3) and stack.labels.shape == (2, 2)
+    assert stack.features[1].tobytes() == ds.features[[5, 2]].tobytes()
+    with pytest.raises(IndexError):
+        ds.subset(np.array([6]))
+
+
 # --------------------------------------------------------------------- models
 
 
