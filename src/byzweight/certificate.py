@@ -42,6 +42,8 @@ class CertificateParams:
             raise ValueError("sample_size must be positive")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not math.isfinite(3.0 / self.delta):  # the margins take log(3/delta)
+            raise ValueError(f"delta={self.delta} is too small: 3/delta overflows a float")
         if self.cap < 1:
             raise ValueError("cap must be positive")
         query = TruncationQuery(self.alpha, self.alpha_star)

@@ -1,18 +1,22 @@
 """Experiment configuration: INI-style sections with strict keys.
 
-Every key has a default, and every file is validated before anything runs.
+ExperimentConfig's fields are the schema: each names its section and key, and
+its declared type picks its parser.  Every key has a default, and every file
+is validated before anything runs.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
-from .engine import TrainConfig, TrimmedMean, WeightedMean, WeightedMedian, participants_per_round
+from .engine import (Behavior, TrainConfig, TrimmedMean, WeightedMean, WeightedMedian,
+                     participants_per_round)
 from .tasks import OneHiddenMLP, SoftmaxRegression
-from .weights import Ignore, Passthrough, Truncate, TruncationQuery, as_fraction
+from .weights import Ignore, Passthrough, Truncate, TruncationQuery
 
 # One table per cell axis: token -> the object it builds from the config.
 # Key order is the default grid order, and so the row order of summary.csv.
@@ -30,57 +34,56 @@ _MODELS = {
     "softmax": lambda cfg: SoftmaxRegression(cfg.dim, cfg.classes),
     "mlp": lambda cfg: OneHiddenMLP(cfg.dim, cfg.hidden, cfg.classes, cfg.dropout),
 }
-SCENARIO_TOKENS = (
-    "none",
-    "negation_single",
-    "negation_fraction",
-    "label_shift_single",
-    "label_shift_fraction",
-)
+# attack scenario -> (its attackers' Behavior, whether attacker_fraction of the
+# clients attack rather than one); an honest "attacker" means none
+SCENARIOS = {
+    "none": (Behavior.HONEST, False),
+    "negation_single": (Behavior.MODEL_NEGATION, False),
+    "negation_fraction": (Behavior.MODEL_NEGATION, True),
+    "label_shift_single": (Behavior.LABEL_SHIFT, False),
+    "label_shift_fraction": (Behavior.LABEL_SHIFT, True),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _ini(section: str, default, key: str = ""):
+    """A field read from [section] key; the key defaults to the field's name."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # [task]
-    dim: int = 20
-    classes: int = 10
-    train_samples: int = 20_000
-    test_samples: int = 2_000
-    clients: int = 100
-    partition_mu: float = 1.5
-    partition_sigma: float = 3.45
-    separation: float = 4.0
-    # [model]
-    model_kind: str = "softmax"
-    hidden: int = 32
-    dropout: float = 0.2
-    # [training]
-    rounds: int = 100
-    eta: float = 0.3
-    epochs: int = 1
-    batch_size: Union[int, float] = 50
-    clients_per_round: Optional[Union[int, float]] = None
-    honest_use_all_samples: bool = True
-    # [preprocess]
-    preprocess_modes: tuple[str, ...] = tuple(_PREPROCESS)
-    alpha: Fraction = Fraction(1, 10)
-    alpha_star: Fraction = Fraction(1, 2)
-    # [aggregator]
-    aggregator_kinds: tuple[str, ...] = tuple(_AGGREGATORS)
-    beta: float = 0.1
-    # [attack]
-    scenarios: tuple[str, ...] = ("none",)
-    attacker_fraction: float = 0.1
-    declared_single: int = 10_000_000
-    declared_fraction: int = 1_000_000
-    # [output]
-    out_dir: str = "results"
-    # [seeds]
-    master_seed: int = 0
+    dim: int = _ini("task", 20)
+    classes: int = _ini("task", 10)
+    train_samples: int = _ini("task", 20_000)
+    test_samples: int = _ini("task", 2_000)
+    clients: int = _ini("task", 100)
+    partition_mu: float = _ini("task", 1.5)
+    partition_sigma: float = _ini("task", 3.45)
+    separation: float = _ini("task", 4.0)
+    model_kind: str = _ini("model", "softmax", key="kind")
+    hidden: int = _ini("model", 32)
+    dropout: float = _ini("model", 0.2)
+    rounds: int = _ini("training", 100)
+    eta: float = _ini("training", 0.3)
+    epochs: int = _ini("training", 1)
+    batch_size: Union[int, float] = _ini("training", 50)
+    clients_per_round: Optional[Union[int, float]] = _ini("training", None)
+    honest_use_all_samples: bool = _ini("training", True)
+    preprocess_modes: tuple[str, ...] = _ini("preprocess", tuple(_PREPROCESS), key="modes")
+    alpha: Fraction = _ini("preprocess", Fraction(1, 10))
+    alpha_star: Fraction = _ini("preprocess", Fraction(1, 2))
+    aggregator_kinds: tuple[str, ...] = _ini("aggregator", tuple(_AGGREGATORS), key="kinds")
+    beta: float = _ini("aggregator", 0.1)
+    scenarios: tuple[str, ...] = _ini("attack", ("none",))
+    attacker_fraction: float = _ini("attack", 0.1, key="fraction")
+    declared_single: int = _ini("attack", 10_000_000)
+    declared_fraction: int = _ini("attack", 1_000_000)
+    out_dir: str = _ini("output", "results", key="dir")
+    master_seed: int = _ini("seeds", 0, key="master")
 
     def __post_init__(self) -> None:
         # These values are checked here because their only other owners
@@ -95,11 +98,15 @@ class ExperimentConfig:
             raise ConfigError(f"model kind must be one of {tuple(_MODELS)}")
         _check_tokens(self.preprocess_modes, _PREPROCESS, "preprocess mode")
         _check_tokens(self.aggregator_kinds, _AGGREGATORS, "aggregator kind")
-        _check_tokens(self.scenarios, SCENARIO_TOKENS, "attack scenario")
+        _check_tokens(self.scenarios, SCENARIOS, "attack scenario")
         if not 0 < self.attacker_fraction < 1:
             raise ConfigError("attacker fraction must lie in (0, 1)")
         if self.declared_single < 1 or self.declared_fraction < 1:
             raise ConfigError("declared sizes must be positive")
+        # the aggregators sum the declared weights in floats under passthrough
+        lies = max(count * size for _, count, size in map(self.attack, SCENARIOS))
+        if self.train_samples + lies > sys.float_info.max:
+            raise ConfigError("declared sizes must keep the declared total within float range")
         # Every other value is proved by the build a run makes, with the mode,
         # aggregator and model that read the most values, so no rule is
         # restated here.
@@ -113,6 +120,14 @@ class ExperimentConfig:
 
     def model(self):
         return _MODELS[self.model_kind](self)
+
+    def attack(self, scenario: str) -> tuple[Behavior, int, int]:
+        """A scenario's attackers: their behavior, how many, and the size each declares."""
+        behavior, fraction = SCENARIOS[scenario]
+        if behavior is Behavior.HONEST:
+            return behavior, 0, 0
+        count = max(1, round(self.attacker_fraction * self.clients)) if fraction else 1
+        return behavior, count, self.declared_fraction if fraction else self.declared_single
 
     def train_config(self, preprocess: str, aggregator: str) -> TrainConfig:
         """The TrainConfig of the grid cell with these preprocess and aggregator tokens."""
@@ -133,91 +148,27 @@ def _check_tokens(values, allowed, what) -> None:
             raise ConfigError(f"unknown {what} {v!r}; allowed: {', '.join(allowed)}")
 
 
-# every recognized key, with the (section, config attribute, parser) triple
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "task": {
-        "dim": ("dim", "int"),
-        "classes": ("classes", "int"),
-        "train_samples": ("train_samples", "int"),
-        "test_samples": ("test_samples", "int"),
-        "clients": ("clients", "int"),
-        "partition_mu": ("partition_mu", "float"),
-        "partition_sigma": ("partition_sigma", "float"),
-        "separation": ("separation", "float"),
-    },
-    "model": {
-        "kind": ("model_kind", "str"),
-        "hidden": ("hidden", "int"),
-        "dropout": ("dropout", "float"),
-    },
-    "training": {
-        "rounds": ("rounds", "int"),
-        "eta": ("eta", "float"),
-        "epochs": ("epochs", "int"),
-        "batch_size": ("batch_size", "size"),
-        "clients_per_round": ("clients_per_round", "count"),
-        "honest_use_all_samples": ("honest_use_all_samples", "bool"),
-    },
-    "preprocess": {
-        "modes": ("preprocess_modes", "list"),
-        "alpha": ("alpha", "fraction"),
-        "alpha_star": ("alpha_star", "fraction"),
-    },
-    "aggregator": {
-        "kinds": ("aggregator_kinds", "list"),
-        "beta": ("beta", "float"),
-    },
-    "attack": {
-        "scenarios": ("scenarios", "list"),
-        "fraction": ("attacker_fraction", "float"),
-        "declared_single": ("declared_single", "int"),
-        "declared_fraction": ("declared_fraction", "int"),
-    },
-    "output": {
-        "dir": ("out_dir", "str"),
-    },
-    "seeds": {
-        "master": ("master_seed", "int"),
-    },
+def _boolean(raw: str) -> bool:
+    # true, yes, on, 1 or false, no, off, 0, in any case
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+# each field type in use -> the parser of a stripped value
+_PARSERS = {
+    int: int, float: float, str: str, Fraction: Fraction,
+    bool: _boolean,
+    tuple[str, ...]: lambda raw: tuple(tok.strip() for tok in raw.split(",") if tok.strip()),
+    # a count, or a fraction when written with a point; blank is None where allowed
+    Union[int, float]: lambda raw: float(raw) if "." in raw else int(raw),
+    Optional[Union[int, float]]: lambda raw: _PARSERS[Union[int, float]](raw) if raw else None,
 }
-
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
-
-
-def _parse_value(raw: str, kind: str, where: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "fraction":
-            return as_fraction(raw)
-        if kind == "list":
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        if kind == "count":
-            # blank means full participation; a value in (0,1) is a fraction
-            if raw == "":
-                return None
-            if "." in raw:
-                return float(raw)
-            return int(raw)
-        if kind == "size":
-            # absolute batch size, or per-client fraction when fractional
-            return float(raw) if "." in raw else int(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value for {where}: {exc}") from exc
-    raise AssertionError(kind)
+# (section, key) -> (field name, parser), in field order
+_SCHEMA = {
+    (f.metadata["section"], f.metadata["key"] or f.name): (f.name, _PARSERS[hint])
+    for f, hint in zip(fields(ExperimentConfig), get_type_hints(ExperimentConfig).values())
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -228,13 +179,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config syntax: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {known for known, _ in _SCHEMA}:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            attr, kind = _SCHEMA[section][key]
-            values[attr] = _parse_value(raw, kind, f"[{section}] {key}")
+            name, parse = _SCHEMA[section, key]
+            try:
+                values[name] = parse(raw.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
     return ExperimentConfig(**values)
 
 

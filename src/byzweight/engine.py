@@ -237,11 +237,11 @@ def _row_pool(rows: Sequence[Dataset]) -> tuple[Dataset, np.ndarray, np.ndarray]
 
 
 def client_update(
-    model, w: np.ndarray, clients: Sequence[ClientSpec], pool: Dataset, offset: np.ndarray,
+    model, w: np.ndarray, ids: np.ndarray, pool: Dataset, offset: np.ndarray,
     n: np.ndarray, cfg: TrainConfig, round_index: int, updates: np.ndarray,
 ) -> np.ndarray:
-    """One round of local work, written into updates (len(clients), P): row i
-    is client i's update, which trains on the n[i] pool rows from offset[i].
+    """One round of local work, written into updates (len(ids), P): row i is
+    client ids[i]'s update, which trains on the n[i] pool rows from offset[i].
 
     A client with no rows (a model-negation attacker) sends -w.  Every other
     client runs cfg.epochs passes of mini-batch SGD from w over its rows; a
@@ -263,7 +263,7 @@ def client_update(
         return updates
     b = cfg.batch_size
     b = np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
-    ids, many = np.array([client.id for client in clients], dtype=np.int64), n > 1
+    many = n > 1
     shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
     perms = [[rng.permutation(k) for _ in range(cfg.epochs)] for rng, k in shuffles]
     drops = getattr(model, "dropout_rate", 0) > 0
@@ -306,10 +306,14 @@ def _as_arrays(updates, weights: Sequence[float]):
     u = np.asarray(updates, dtype=float)
     if u.ndim != 2 or len(u) == 0 or len(u) != len(weights):
         raise ValueError("need equally many updates and weights, at least one")
-    wt = np.asarray(weights, dtype=float)
-    if not (np.isfinite(wt).all() and (wt >= 0).all()):
+    try:
+        wt = np.asarray(weights, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("weights must be finite and non-negative") from None
+    with np.errstate(all="ignore"):
+        total = wt.sum()
+    if not (np.isfinite(total) and (wt >= 0).all()):  # a finite total has finite terms
         raise ValueError("weights must be finite and non-negative")
-    total = wt.sum()
     if total <= 0:
         raise WeightSumZero("total aggregation weight is zero")
     return u, wt, total
@@ -474,10 +478,9 @@ def run_training(
     updates = np.empty((participants_per_round(cfg.clients_per_round, len(clients)), len(w)))
     metrics: list[RoundMetrics] = []
     for t in range(1, cfg.rounds + 1):
-        at = list(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
-        chosen = [clients[cid] for cid in at]
-        client_update(model, w, chosen, pool, offset[at], n[at], cfg, t, updates)
-        w = aggregate(cfg.aggregator, updates, [weight_of[cid] for cid in at])
+        at = np.array(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
+        client_update(model, w, at, pool, offset[at], n[at], cfg, t, updates)
+        w = aggregate(cfg.aggregator, updates, [weight_of[cid] for cid in at.tolist()])
         norm = float(np.linalg.norm(w))
         if not np.all(np.isfinite(w)):
             metrics.append(RoundMetrics(t, math.nan, math.nan, norm, finite=False))

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .engine import Behavior, ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
+from .engine import ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
 from .tasks import PartitionSpec, generate_blobs, generate_partition, split_by_sizes
 from .weights import PreprocessInfeasible
 
@@ -66,34 +66,16 @@ def build_task(cfg: ExperimentConfig):
 
 
 def attacker_ids(cfg: ExperimentConfig, scenario: str) -> frozenset[int]:
-    if scenario == "none":
-        return frozenset()
-    if scenario.endswith("_single"):
-        count = 1
-    else:
-        count = max(1, round(cfg.attacker_fraction * cfg.clients))
+    _, count, _ = cfg.attack(scenario)  # none under "none"
     rng = stream(cfg.master_seed, _TAG_ATTACK, count)
     return frozenset(rng.choice(cfg.clients, size=count, replace=False).tolist())
 
 
 def build_clients(cfg: ExperimentConfig, scenario: str, shards) -> list[ClientSpec]:
+    behavior, _, declared_lie = cfg.attack(scenario)
     attackers = attacker_ids(cfg, scenario)
-    if scenario.startswith("negation"):
-        behavior = Behavior.MODEL_NEGATION
-    elif scenario.startswith("label_shift"):
-        behavior = Behavior.LABEL_SHIFT
-    else:
-        behavior = Behavior.HONEST
-    declared_lie = (
-        cfg.declared_single if scenario.endswith("_single") else cfg.declared_fraction
-    )
-    clients = []
-    for cid, shard in enumerate(shards):
-        if cid in attackers:
-            clients.append(ClientSpec(cid, shard, declared_lie, behavior))
-        else:
-            clients.append(ClientSpec(cid, shard, len(shard)))
-    return clients
+    return [ClientSpec(cid, shard, declared_lie, behavior) if cid in attackers
+            else ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
 
 
 def metrics_filename(preprocess: str, aggregator: str, attack: str) -> str:

@@ -44,6 +44,14 @@ def test_margins_zero_cap():
             params(cap=cap, alpha=F(1, 2))
 
 
+def test_delta_whose_log_term_overflows_is_refused():
+    # margins take log(3/delta): below about 1.669e-308 the quotient is inf
+    assert math.isfinite(margins(params(k=200_000, delta=1.67e-308)).eps3)
+    for delta in (1.668e-308, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"^delta={delta!r} is too small: 3/delta overflows"):
+            params(delta=delta)
+
+
 def test_margins_match_direct_formulas():
     p = params(k=500, alpha=F(3, 10), delta=0.1, cap=7)
     m = margins(p)

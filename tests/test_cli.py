@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 import ctypes
 import glob
 import os
@@ -15,7 +16,8 @@ import pytest
 
 from byzweight.certificate import CertificateParams
 from byzweight.cli import main
-from byzweight.config import ConfigError, ExperimentConfig, parse_config
+from byzweight import config
+from byzweight.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from byzweight.engine import (
     Behavior,
     TrainConfig,
@@ -68,12 +70,24 @@ master = 3
 # -------------------------------------------------------------------- config
 
 
-def test_readme_config_block_is_the_defaults():
+def readme_config_block() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read().split("## Config format", 1)[1]
-    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
-    assert parse_config(block) == ExperimentConfig()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_is_the_defaults():
+    assert parse_config(readme_config_block()) == ExperimentConfig()
+
+
+def test_readme_config_block_lists_every_key():
+    # the defaults test alone still passes with a key left out of the block
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(readme_config_block())
+    listed = [(section, key) for section in parser.sections() for key in parser[section]]
+    assert listed == list(config._SCHEMA)
+    assert len(listed) == len(vars(ExperimentConfig()))  # no two fields share a key
 
 
 def test_partial_file_fills_defaults():
@@ -222,6 +236,27 @@ def test_invalid_values_rejected():
                 build(value)
 
 
+def test_declared_total_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # declared_single = 10**330 crashed simulate with OverflowError; 10**308 for
+    # two attackers overflowed the total weight to inf, and simulate wrote NaN rows
+    def attack(lines):
+        return parse_config(SMALL.replace("[attack]\n", "[attack]\nfraction = 0.25\n" + lines))
+
+    most = int(sys.float_info.max) - 400  # the 400 honest samples declare themselves
+    assert attack(f"declared_single = {most}\n").declared_single == most
+    assert attack(f"declared_fraction = {most // 2}\n").declared_fraction == most // 2
+    message = "declared sizes must keep the declared total within float range"
+    for lines in (f"declared_single = {most + 1}\n", f"declared_single = {10**330}\n",
+                  f"declared_fraction = {most // 2 + 1}\n", f"declared_fraction = {10**308}\n"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            attack(lines)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(SMALL.replace("[attack]\n", f"[attack]\ndeclared_single = {10**330}\n"))
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_clients_per_round_forms():
     assert parse_config("[training]\nclients_per_round =\n").clients_per_round is None
     assert parse_config("[training]\nclients_per_round = 7\n").clients_per_round == 7
@@ -282,21 +317,28 @@ def test_attacker_sets_deterministic_and_sized():
 
 
 def test_build_clients_marks_attackers():
-    cfg = parse_config(SMALL)
+    # a quarter of 8 clients is 2 attackers under *_fraction, against 1 under *_single
+    cfg = parse_config(SMALL.replace("[attack]\n", "[attack]\nfraction = 0.25\n"))
     shards, test = build_task(cfg)
     assert sum(len(s) for s in shards) == 400
     assert len(test) == 150
-    clients = build_clients(cfg, "negation_single", shards)
-    liars = [c for c in clients if c.behavior is Behavior.MODEL_NEGATION]
-    assert len(liars) == 1
-    assert liars[0].declared_size == 10_000_000
-    honest = [c for c in clients if c.behavior is Behavior.HONEST]
-    assert all(c.declared_size == len(c.data) for c in honest)
-    flippers = build_clients(cfg, "label_shift_fraction", shards)
-    assert sum(c.behavior is Behavior.LABEL_SHIFT for c in flippers) == 1
-    assert [c.behavior for c in build_clients(cfg, "none", shards)] == [
-        Behavior.HONEST
-    ] * 8
+    want = {  # scenario: (attackers' behavior, how many, the size each declares)
+        "none": (None, 0, None),
+        "negation_single": (Behavior.MODEL_NEGATION, 1, 10_000_000),
+        "negation_fraction": (Behavior.MODEL_NEGATION, 2, 1_000_000),
+        "label_shift_single": (Behavior.LABEL_SHIFT, 1, 10_000_000),
+        "label_shift_fraction": (Behavior.LABEL_SHIFT, 2, 1_000_000),
+    }
+    assert list(want) == list(SCENARIOS)
+    for scenario, (behavior, count, lie) in want.items():
+        clients = build_clients(cfg, scenario, shards)
+        assert [c.id for c in clients] == list(range(8))
+        liars = [c for c in clients if c.behavior is not Behavior.HONEST]
+        assert [c.behavior for c in liars] == [behavior] * count, scenario
+        assert [c.declared_size for c in liars] == [lie] * count, scenario
+        assert {c.id for c in liars} == attacker_ids(cfg, scenario)
+        honest = [c for c in clients if c.behavior is Behavior.HONEST]
+        assert all(c.declared_size == len(c.data) for c in honest)
 
 
 def test_grid_layout_and_filenames():
@@ -479,6 +521,17 @@ def test_certify_alpha_too_small_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_certify_delta_too_small_for_its_log_exit_2(tmp_path, capsys):
+    # 3/delta overflowed to inf, and the error blamed the sample size
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [1] * 50)
+    code = main(["certify", "--weights", str(wfile), "--k", "10000", "--alpha", "1/5",
+                 "--alpha-star", "1/2", "--delta", "1e-320", "--u", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: delta=1e-320 is too small: 3/delta overflows a float\n"
 
 
 def test_certify_weights_beyond_int64_exit_2(tmp_path, capsys):

@@ -75,8 +75,8 @@ def round_update(model, w, clients, rows, cfg, round_index, chosen=None):
     pool, offset, count = engine._row_pool(rows)
     at = list(range(len(clients)) if chosen is None else chosen)
     updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
-    picked = [clients[i] for i in at]
-    return client_update(model, w, picked, pool, offset[at], count[at], cfg, round_index, updates)
+    ids = np.array([clients[i].id for i in at], dtype=np.int64)
+    return client_update(model, w, ids, pool, offset[at], count[at], cfg, round_index, updates)
 
 
 def train_one(model, w, client, cfg, round_index, effective_size=None):
@@ -263,8 +263,8 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
                      honest_use_all_samples=False, master_seed=12)
     seen, update = [], engine.client_update
 
-    def spy(model, w, chosen, *rest):
-        seen.append((w.copy(), [c.id for c in chosen], update(model, w, chosen, *rest).copy()))
+    def spy(model, w, ids, *rest):
+        seen.append((w.copy(), ids.tolist(), update(model, w, ids, *rest).copy()))
         return seen[-1][2]
 
     monkeypatch.setattr(engine, "client_update", spy)
@@ -629,6 +629,21 @@ def test_client_order_is_stable_argsort():
 def test_non_finite_weights_rejected(kind, bad):
     with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
         aggregate(kind, [np.array([1.0]), np.array([2.0])], [bad, 1.0])
+
+
+@pytest.mark.parametrize("kind", [WeightedMean(), WeightedMedian(), TrimmedMean(0.1)],
+                         ids=["mean", "median", "trimmed"])
+def test_weights_and_totals_beyond_float_range_rejected(kind):
+    # an int past the float range raised OverflowError; a total that overflowed
+    # to inf gave NaN (trimmed) or 0 (mean, median) with only a RuntimeWarning
+    big = np.finfo(float).max
+    first_inf = 2**1024 - 2**970  # the least integer that rounds to inf
+    u = [np.array([0.5]), np.array([0.25])]
+    for weights in ([first_inf - 1, 1], [big / 2, big / 2]):  # each total rounds to big
+        assert np.isfinite(aggregate(kind, u, weights)).all()
+    for weights in ([first_inf, 1], [10**330, 1], [big / 2, np.nextafter(big / 2, np.inf)], [big, big]):
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            aggregate(kind, u, weights)
 
 
 # ----------------------------------------------------------------- selection
