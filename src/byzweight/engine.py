@@ -1,8 +1,8 @@
 """Deterministic federated training with unreliable clients.
 
 The server runs rounds of select / update / aggregate.  Every client ships a
-declared sample count up front; the weight preprocessor runs once on those
-declarations, and the resulting weights are what the aggregation rule sees.
+declared sample count up front; the preprocessor maps the declarations to one
+weight per client, once, and those weights are what the aggregation rule sees.
 Attackers either negate the server model each round or train on flipped
 labels.  All randomness is drawn from streams keyed on
 (master_seed, purpose, round, client), so results are bit-identical no matter
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .tasks import Dataset, accuracy
-from .weights import PreprocessMode, WeightVector, preprocess
+from .weights import PreprocessMode, preprocess
 
 
 class EmptyClientData(ValueError):
@@ -194,7 +194,6 @@ class RoundMetrics:
     test_accuracy: float
     test_loss: float
     aggregate_norm: float
-    finite: bool = True
 
 
 METRICS_CSV_HEADER = "round,test_accuracy,test_loss,aggregate_norm"
@@ -452,6 +451,15 @@ def select_clients(
     return tuple(sorted(rng.choice(population, size=m, replace=False).tolist()))
 
 
+def _norm(w: np.ndarray) -> float:
+    """Euclidean norm of w: np.linalg.norm's while the largest |entry| lies in
+    [2^-500, 2^500]; beyond, where squares overflow (past 2^512) or lose bits
+    (below 2^-511), np.linalg.norm of w scaled by a power of two, scaled back."""
+    big = float(np.abs(w).max())
+    scale = 2.0**-600 if big > 2.0**500 else 2.0**600 if 0 < big < 2.0**-500 else 1.0
+    return float(np.linalg.norm(w * scale)) / scale  # a norm beyond the float range is inf
+
+
 def run_training(
     model,
     clients: Sequence[ClientSpec],
@@ -460,30 +468,28 @@ def run_training(
 ) -> tuple[np.ndarray, list[RoundMetrics]]:
     """The full training loop; returns final parameters and per-round metrics.
 
-    Declared sizes are preprocessed, and every client's training rows pooled,
-    once before any round runs.  Each round, client_update writes the
-    selected clients' updates into the run's one (m, P) matrix in ascending
-    client id, which the aggregator reads.  If aggregation ever produces a
-    non-finite parameter, the run stops with a final record flagged non-finite.
+    Declared sizes become one weight per client id, and every client's
+    training rows are pooled, once before any round runs.  Each round,
+    client_update writes the selected clients' updates into the run's one
+    (m, P) matrix in ascending client id, which the aggregator reads.  A
+    non-finite aggregate ends the run with a NaN accuracy and loss record.
     """
     clients = sorted(clients, key=lambda c: c.id)
-    ids = [c.id for c in clients]
-    if ids != list(range(len(clients))):
+    if [c.id for c in clients] != list(range(len(clients))):
         raise ValueError("client ids must be distinct and 0..K-1")
-    declared = WeightVector.from_values([c.declared_size for c in clients], ids)
-    weight_of = preprocess(declared, cfg.preprocess).by_id()
+    weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
 
-    pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight_of[c.id]) for c in clients])
+    pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight[c.id]) for c in clients])
     w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
     updates = np.empty((participants_per_round(cfg.clients_per_round, len(clients)), len(w)))
     metrics: list[RoundMetrics] = []
     for t in range(1, cfg.rounds + 1):
         at = np.array(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
         client_update(model, w, at, pool, offset[at], n[at], cfg, t, updates)
-        w = aggregate(cfg.aggregator, updates, [weight_of[cid] for cid in at.tolist()])
-        norm = float(np.linalg.norm(w))
+        w = aggregate(cfg.aggregator, updates, [weight[cid] for cid in at.tolist()])
+        norm = _norm(w)
         if not np.all(np.isfinite(w)):
-            metrics.append(RoundMetrics(t, math.nan, math.nan, norm, finite=False))
+            metrics.append(RoundMetrics(t, math.nan, math.nan, norm))
             break
         metrics.append(RoundMetrics(t, accuracy(model, w, testset), model.loss(w, testset), norm))
     return w, metrics

@@ -47,16 +47,13 @@ def as_fraction(x: Union[Fraction, int, float, str]) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Client weights sorted non-decreasing, with client ids kept aligned."""
+    """Client weights sorted non-decreasing; shares and caps need no client ids."""
 
     values: tuple[int, ...]
-    ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("weight vector must hold at least one client")
-        if len(self.ids) != len(self.values):
-            raise ValueError("ids and values must have equal length")
         values = self.values  # C-level scans; only a failing vector is walked for its offender
         if not all(issubclass(t, int) for t in set(map(type, values))) or min(values) < 0:
             bad = next(x for x in values if not isinstance(x, int) or x < 0)
@@ -65,20 +62,11 @@ class WeightVector:
             raise ValueError("values must be sorted non-decreasing")
 
     @classmethod
-    def from_values(cls, values: Iterable[int], ids: Iterable[int] | None = None) -> "WeightVector":
-        vals = list(values)
-        ids = range(len(vals)) if ids is None else list(ids)
-        if len(ids) != len(vals):
-            raise ValueError(f"{len(ids)} ids for {len(vals)} values")
-        order = sorted(range(len(vals)), key=vals.__getitem__)  # stable: ties keep input order
-        ids = tuple(order) if isinstance(ids, range) else tuple(map(ids.__getitem__, order))
-        return cls(tuple(map(vals.__getitem__, order)), ids)
+    def from_values(cls, values: Iterable[int]) -> "WeightVector":
+        return cls(tuple(sorted(values)))
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def by_id(self) -> dict[int, int]:
-        return dict(zip(self.ids, self.values))
 
 
 @dataclass(frozen=True)
@@ -114,14 +102,10 @@ class TruncationOutcome:
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Feasible rows (j, cap), alpha = j/k strictly decreasing; `pairs` on request."""
+    """Feasible rows (j, cap), alpha = j/k strictly decreasing."""
 
     k: int
     rows: tuple[tuple[int, int], ...]
-
-    @property
-    def pairs(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((Fraction(j, self.k), cap) for j, cap in self.rows)
 
     def to_csv(self) -> str:
         k = self.k  # int true division rounds correctly: j / k == float(Fraction(j, k))
@@ -147,11 +131,11 @@ def top_share(v: WeightVector, fraction: Union[Fraction, int, float, str]) -> Fr
 
 
 def truncate(v: WeightVector, cap: int) -> WeightVector:
-    """Cap every weight at `cap` (order and ids preserved)."""
+    """Cap every weight at `cap`."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
     i = bisect_right(v.values, cap)  # values are sorted, so only the tail changes
-    return WeightVector(v.values[:i] + (cap,) * (len(v) - i), v.ids)
+    return WeightVector(v.values[:i] + (cap,) * (len(v) - i))
 
 
 def _crossings(values: Sequence[int], js: Iterable[int], p: int, q: int) -> Iterator[int | None]:
@@ -250,12 +234,13 @@ class Truncate:
 PreprocessMode = Union[Passthrough, Ignore, Truncate]
 
 
-def preprocess(v: WeightVector, mode: PreprocessMode) -> WeightVector:
-    """Apply a preprocessing mode to declared counts."""
-    if isinstance(mode, Passthrough):
-        return v
+def preprocess(declared: Sequence[int], mode: PreprocessMode) -> list[int]:
+    """Each client's weight under a preprocessing mode, in the order of the
+    declared counts: the count itself, 1, or the count capped at the solved
+    bound."""
+    v = WeightVector.from_values(declared)
     if isinstance(mode, Ignore):
-        return WeightVector((1,) * len(v), v.ids)
+        return [1] * len(v)
     if isinstance(mode, Truncate):
         outcome = solve_truncation(v, mode.query)
         if outcome.status == TruncationStatus.INFEASIBLE:
@@ -263,32 +248,27 @@ def preprocess(v: WeightVector, mode: PreprocessMode) -> WeightVector:
                 f"no cap satisfies share limit {mode.query.alpha_star} "
                 f"at fraction {mode.query.alpha}"
             )
-        if outcome.status == TruncationStatus.NO_TRUNCATION_NEEDED:
-            return v
-        return truncate(v, outcome.cap)
-    raise TypeError(f"unknown preprocess mode: {mode!r}")
+        if outcome.status == TruncationStatus.SOLVED:
+            return [min(d, outcome.cap) for d in declared]
+    elif not isinstance(mode, Passthrough):
+        raise TypeError(f"unknown preprocess mode: {mode!r}")
+    return list(declared)
 
 
 def read_weights_file(path) -> WeightVector:
     """Read one integer per line; blank lines and # comments are skipped."""
     with open(path) as fh:
-        if fh.seekable():  # one C-level pass; blank, comment and bad lines take the loop below
-            # text mode has turned \r and \r\n into \n, so splitting on \n alone
-            # gives the loop's lines; str.splitlines would also split on
-            # characters such as \x1c and U+2028 that the loop keeps inside a line
-            lines = fh.read().split("\n")
-            if not lines[-1]:
-                lines.pop()
-            try:
-                values = list(map(int, lines))
-            except ValueError:
-                values = []
-            del lines  # before the sort, which builds lists of its own
-            if values and min(values) >= 0:
-                return WeightVector.from_values(values)
-            fh.seek(0)
+        # text mode has turned \r and \r\n into \n, so splitting on \n alone
+        # gives the file's lines; str.splitlines would also split on
+        # characters such as \x1c and U+2028 that belong inside a line
+        lines = fh.read().rstrip("\n").split("\n")  # trailing blank lines hold no weight
+    try:  # one C-level pass; blank, comment and bad lines take the loop below
+        values = list(map(int, lines))
+    except ValueError:
         values = []
-        for lineno, raw in enumerate(fh, start=1):
+    if not values or min(values) < 0:
+        values = []
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -299,6 +279,7 @@ def read_weights_file(path) -> WeightVector:
             if value < 0:
                 raise ValueError(f"{path}:{lineno}: weights must be non-negative")
             values.append(value)
+    del lines  # before the sort, which builds a list of its own
     if not values:
         raise ValueError(f"{path}: no weights found")
     return WeightVector.from_values(values)

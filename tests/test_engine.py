@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from byzweight.tasks import (
     generate_blobs,
     split_by_sizes,
 )
-from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery, WeightVector, preprocess
+from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery, preprocess
 from oracles import client_by_client_update, stable_trimmed_mean, stable_weighted_median
 
 
@@ -269,9 +270,8 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
 
     monkeypatch.setattr(engine, "client_update", spy)
     run_training(model, clients, shards[0], cfg)
-    declared = WeightVector.from_values([c.declared_size for c in clients])
-    weight_of = preprocess(declared, cfg.preprocess).by_id()
-    rows = [engine._training_rows(model, c, cfg, weight_of[c.id]) for c in clients]
+    weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
+    rows = [engine._training_rows(model, c, cfg, weight[c.id]) for c in clients]
     assert any(0 < len(r) < len(c.data) for r, c in zip(rows, clients))  # subsets in use
     assert len(seen) == 6 and all(ids != list(range(7)) for _, ids, _ in seen)
     assert {2, 5, 9} <= {cid for _, ids, _ in seen for cid in ids}
@@ -739,8 +739,7 @@ def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
         clients_per_round=4,
     )
     run_training(model, clients, test, cfg)
-    declared = WeightVector.from_values([c.declared_size for c in clients], range(6))
-    expected = preprocess(declared, cfg.preprocess).by_id()
+    expected = preprocess([c.declared_size for c in clients], cfg.preprocess)
     assert len(seen) == 3
     for t, ids, weights in seen:
         assert weights == tuple(expected[i] for i in ids)
@@ -791,6 +790,35 @@ def test_sample_budget_is_the_preprocessed_weight():
         assert first == second
 
 
+def test_norm_at_the_float_tails():
+    # np.linalg.norm sums squares: past 2^512 they overflow to inf (with a
+    # warning), and below about 2^-537 they underflow to a norm of 0
+    base = np.random.default_rng(17).standard_normal(50)
+    base[::7] = 0.0
+    inside = []  # base's largest |entry| is about 2^1.3
+    for e in (-1070, -1000, -600, -502, -501, -20, 0, 20, 497, 498, 499, 600, 1000, 1015):
+        w = np.ldexp(base, e)
+        got = engine._norm(w)
+        assert math.isclose(got, math.hypot(*w.tolist()), rel_tol=1e-14), e
+        if 2.0**-500 <= np.abs(w).max() <= 2.0**500:
+            assert got == float(np.linalg.norm(w)), e  # the same bits inside the band
+            inside.append(e)
+    assert inside == [-501, -20, 0, 20, 497, 498]
+    assert engine._norm(np.array([1.7e308, 1.7e308])) == math.inf == math.hypot(1.7e308, 1.7e308)
+    assert engine._norm(np.zeros(3)) == 0.0
+    assert math.isnan(engine._norm(np.array([1.0, math.nan])))
+
+
+def test_round_metrics_report_a_tiny_aggregate_norm():
+    # a liar declaring 10^308 under passthrough x mean scales the honest
+    # update by about 10^-309, and its square underflowed to a norm of 0
+    clients = [ClientSpec(0, scalar_data(1.0), 1),
+               ClientSpec(1, scalar_data(1.0), 10**308, Behavior.MODEL_NEGATION)]
+    w, metrics = run_training(ScalarQuadratic(), clients, scalar_data(1.0), toy_config())
+    assert 0 < abs(w[0]) < 1e-300
+    assert metrics[0].aggregate_norm == abs(w[0])
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_flagged_and_terminal():
     model = ScalarQuadratic()
@@ -798,9 +826,9 @@ def test_divergence_flagged_and_terminal():
     test = scalar_data(1.0)
     cfg = toy_config(rounds=500, eta=1000.0)
     w, metrics = run_training(model, [client], test, cfg)
-    assert not metrics[-1].finite
+    assert math.isnan(metrics[-1].test_accuracy) and math.isnan(metrics[-1].test_loss)
     assert len(metrics) < 500
-    assert all(m.finite for m in metrics[:-1])
+    assert not any(math.isnan(m.test_accuracy) or math.isnan(m.test_loss) for m in metrics[:-1])
     assert not np.all(np.isfinite(w))
 
 

@@ -1,8 +1,8 @@
-"""Pinned output of `byzweight simulate`: the sha256 of every file it writes.
+"""Pinned output of the command line: the sha256 of what it prints and writes.
 
-The digests below were recorded before the local-training hot path was
-rewritten; a change that only makes training cheaper must leave them all
-alone.  The task has many one-row shards (lognormal sizes, 200 rows over
+The `simulate` digests below were recorded before the local-training hot
+path was rewritten; a change that only makes training cheaper must leave
+them all alone.  The task has many one-row shards (lognormal sizes, 200 rows over
 30 clients), and the three model variants between them cover dropout on
 and off, a softmax model, fractional and absolute batch sizes, two epochs,
 `honest_use_all_samples = false`, and both fraction attacks.
@@ -261,3 +261,46 @@ def test_simulate_output_pinned(tmp_path, variant, jobs):
     assert main(["simulate", "--config", str(config), "--out-dir", str(out), "--jobs", str(jobs)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert got == DIGESTS[variant]
+
+
+# One weight file for the tradeoff and certify goldens, read through the
+# line loop: shuffled counts with ties and zeros, a comment line, CRLF endings.
+DECLARED = [7, 0, 120, 3, 3, 15, 0, 1, 42, 3, 900, 7, 2, 0, 15,
+            5000, 1, 8, 3, 64, 7, 0, 2, 31, 250, 1, 7, 12, 3, 1]
+WEIGHTS = ("# declared counts, one per client\r\n" + "".join(f"{v}\r\n" for v in DECLARED)).encode()
+CERTIFY = ["certify", "--weights", "{weights}", "--k", "2000", "--alpha", "1/5",
+           "--alpha-star", "1/2", "--delta", "0.05", "--seed", "3", "--out-dir", "{out}"]
+
+TRADEOFF = "8918386d7215f216c56f9838cf732d8f7fbece81231b79b049ab6c007112e775"  # stdout and tradeoff.csv
+CERTIFIED = "7ddb3b9102d1193eab0081ab34a890706deb0668cc06da514454c7fa4fb7a119"  # stdout and certificate.csv
+REFUSED = "2af2088504d7181fdeb0e94bdbc15b98bc54c9aecf7d61706f6877883336eda5"
+
+# (argv, exit code, stdout digest or None, {written file: digest})
+CLI_RUNS = {
+    "tradeoff": (["tradeoff", "--weights", "{weights}", "--alpha-star", "1/2"], 0, TRADEOFF, {}),
+    "tradeoff_out_dir": (["tradeoff", "--weights", "{weights}", "--alpha-star", "1/2",
+                          "--out-dir", "{out}"], 0, None, {"tradeoff.csv": TRADEOFF}),
+    "certify_certified": (CERTIFY + ["--u", "7"], 0, CERTIFIED, {"certificate.csv": CERTIFIED}),
+    "certify_refused": (CERTIFY + ["--u", "15"], 4, REFUSED, {"certificate.csv": REFUSED}),
+    "bound": (["bound", "--config", "{config}", "--u", "1000", "--seed", "2"], 0,
+              "f056b7981f9c0a0357c51d8a2dc201be36edcbdbc1d10a32313fd51405000817", {}),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_output_pinned(tmp_path, capsys, name):
+    argv, code, stdout, files = CLI_RUNS[name]
+    paths = {"weights": tmp_path / "w.txt", "config": tmp_path / "c.ini", "out": tmp_path / "out"}
+    paths["weights"].write_bytes(WEIGHTS)
+    # bound builds the clients of the first scenario, here negation_fraction
+    paths["config"].write_text(TASK.replace("none, ", "") + VARIANTS["mlp_no_dropout"])
+    assert main([a.format(**paths) for a in argv]) == code
+    out = capsys.readouterr().out
+    if stdout is not None:
+        assert sha256(out.encode()) == stdout
+    written = {p.name: sha256(p.read_bytes()) for p in sorted(paths["out"].glob("*"))}
+    assert written == files

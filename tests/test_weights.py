@@ -47,40 +47,33 @@ def wv(*values):
     return WeightVector.from_values(values)
 
 
+def pairs(curve):
+    return tuple((F(j, curve.k), cap) for j, cap in curve.rows)
+
+
 # ---------------------------------------------------------------- WeightVector
-
-def test_stable_sort_keeps_tie_order():
-    v = WeightVector.from_values([5, 3, 5, 3], ids=[10, 11, 12, 13])
-    assert v.values == (3, 3, 5, 5)
-    assert v.ids == (11, 13, 10, 12)
-
 
 def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
-        WeightVector((2, 1), (0, 1))  # unsorted
+        WeightVector((2, 1))  # unsorted
     with pytest.raises(ValueError):
         WeightVector.from_values([])
     with pytest.raises(ValueError):
         WeightVector.from_values([-1, 2])
-    with pytest.raises(ValueError):
-        WeightVector((1, 2), (0,))  # ids length mismatch
-    for ids in ([0, 1, 2, 3], [0, 1]):
-        with pytest.raises(ValueError):
-            WeightVector.from_values([3, 1, 2], ids)
 
 
 def test_constructor_names_the_first_offender():
     with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got -1$"):
-        WeightVector((-1, "a"), (0, 1))
+        WeightVector((-1, "a"))
     with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got 'a'$"):
-        WeightVector(("a", -1), (0, 1))
+        WeightVector(("a", -1))
     with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got 2.0$"):
-        WeightVector((1, 2.0), (0, 1))
+        WeightVector((1, 2.0))
     with pytest.raises(ValueError, match=r"^values must be sorted non-decreasing$"):
-        WeightVector((1, 3, 2), (0, 1, 2))
+        WeightVector((1, 3, 2))
     with pytest.raises(ValueError, match=r"^weight vector must hold at least one client$"):
-        WeightVector((), ())
-    assert WeightVector((False, True, 2), (0, 1, 2)).values == (False, True, 2)  # bool is an int
+        WeightVector(())
+    assert WeightVector((False, True, 2)).values == (False, True, 2)  # bool is an int
     assert WeightVector.from_values([True, 0]).values == (0, True)
 
 
@@ -144,7 +137,6 @@ def test_truncate_basics():
     v = wv(1, 1, 1, 1, 100)
     assert truncate(v, 4).values == (1, 1, 1, 1, 4)
     assert truncate(v, 1000).values == v.values
-    assert truncate(v, 4).ids == v.ids
     with pytest.raises(ValueError):
         truncate(v, -1)
 
@@ -296,11 +288,11 @@ def test_bisection_oracle_matches_exhaustive_scan():
 
 def test_tradeoff_hand_values():
     curve = tradeoff_curve(wv(1, 1, 1, 1, 100), F(1, 2))
-    assert curve.pairs == ((F(2, 5), 2), (F(1, 5), 4))
+    assert pairs(curve) == ((F(2, 5), 2), (F(1, 5), 4))
 
 
 def test_tradeoff_flat_vector_is_empty():
-    assert tradeoff_curve(wv(2, 2, 2, 2), F(1, 2)).pairs == ()
+    assert tradeoff_curve(wv(2, 2, 2, 2), F(1, 2)).rows == ()
 
 
 def test_tradeoff_matches_repeated_solve():
@@ -311,7 +303,7 @@ def test_tradeoff_matches_repeated_solve():
         if sum(values) == 0:
             values[0] = 1
         alpha_star = rng.choice([F(3, 10), F(1, 2), F(3, 5)])
-        got = tradeoff_curve(wv(*values), alpha_star).pairs
+        got = pairs(tradeoff_curve(wv(*values), alpha_star))
         want = curve_by_repeated_solve(values, alpha_star, solve_truncation, TruncationQuery)
         assert got == want, (values, alpha_star)
 
@@ -331,8 +323,8 @@ def test_realistic_k_outputs_pinned():
     # make every grid point above alpha=7431/20000 infeasible, so the sweep
     # skips 2 569 of them before its first pair.
     curve = tradeoff_curve(_lognormal_declared(20261018, 20_000), F(1, 2))
-    assert len(curve.pairs) == 7330
-    assert curve.pairs[0] == (F(7431, 20000), 1)
+    assert len(curve.rows) == 7330
+    assert pairs(curve)[0] == (F(7431, 20000), 1)
     assert hashlib.sha256(curve.to_csv().encode()).hexdigest() == (
         "40de6614d75eb636d0c5f8f7b426d0f2a6b276aee8572326bfe81d9adf4172de"
     )
@@ -360,14 +352,14 @@ def test_counts_near_int64_limit_stay_exact():
             assert (got.status, got.cap) == want, (values, q)
             statuses.add(got.status)
         want_curve = curve_by_repeated_solve(values, alpha_star, solve_truncation, TruncationQuery)
-        assert tradeoff_curve(v, alpha_star).pairs == want_curve, (values, alpha_star)
+        assert pairs(tradeoff_curve(v, alpha_star)) == want_curve, (values, alpha_star)
     assert statuses == {"solved", "no_truncation_needed", "infeasible"}
 
 
 def test_tradeoff_curve_is_monotone():
     # heavier tail than the hand examples; alpha strictly down, cap never down
     v = wv(1, 1, 2, 3, 5, 8, 40, 400)
-    curve = tradeoff_curve(v, F(1, 2)).pairs
+    curve = pairs(tradeoff_curve(v, F(1, 2)))
     assert len(curve) >= 2
     alphas = [a for a, _ in curve]
     caps = [c for _, c in curve]
@@ -381,18 +373,44 @@ def test_tradeoff_curve_is_monotone():
 # ------------------------------------------------------------------ preprocess
 
 def test_preprocess_modes():
-    v = wv(1, 1, 1, 1, 100)
+    declared = [1, 100, 1, 1, 1]
     q = TruncationQuery(F(1, 5), F(1, 2))
-    assert preprocess(v, Passthrough()) is v
-    assert preprocess(v, Ignore()).values == (1, 1, 1, 1, 1)
-    assert preprocess(v, Ignore()).ids == v.ids
-    assert preprocess(v, Truncate(q)).values == (1, 1, 1, 1, 4)
-
-    flat = wv(2, 2, 2, 2)
-    assert preprocess(flat, Truncate(TruncationQuery(F(1, 4), F(1, 2)))) is flat
+    assert preprocess(declared, Passthrough()) == declared
+    assert preprocess(declared, Ignore()) == [1, 1, 1, 1, 1]
+    assert preprocess(declared, Truncate(q)) == [1, 4, 1, 1, 1]
+    assert preprocess([2, 2, 2, 2], Truncate(TruncationQuery(F(1, 4), F(1, 2)))) == [2, 2, 2, 2]
 
     with pytest.raises(PreprocessInfeasible):
-        preprocess(wv(1, 1), Truncate(TruncationQuery(F(1, 2), F(2, 5))))
+        preprocess([1, 1], Truncate(TruncationQuery(F(1, 2), F(2, 5))))
+    with pytest.raises(ValueError, match=r"^weights must be non-negative integers, got -1$"):
+        preprocess([3, -1], Passthrough())
+    with pytest.raises(TypeError, match=r"^unknown preprocess mode: "):
+        preprocess([3, 1], Truncate)
+
+
+_NEAR_2_63 = st.integers(2**63 - 4, 2**63 + 4) | st.integers(2**62, 2**62 + 2**40)
+
+
+@given(st.lists(st.integers(0, 6) | _NEAR_2_63, min_size=1, max_size=10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_preprocess_is_elementwise_in_client_order(declared, data):
+    # weights come back in the order the counts were declared, each a
+    # function of its own count: itself, 1, or its min with the cap
+    declared = data.draw(st.permutations(declared + declared[: data.draw(st.integers(0, 3))]))
+    assert preprocess(declared, Passthrough()) == declared
+    assert preprocess(declared, Ignore()) == [1] * len(declared)
+    if not any(declared):
+        return
+    k = len(declared)
+    q = TruncationQuery(F(data.draw(st.integers(1, k)), k),
+                        data.draw(st.sampled_from([F(1, 4), F(1, 2), F(2, 3)])))
+    status, cap = bisect_outcome(declared, q.alpha, q.alpha_star)
+    if status == TruncationStatus.INFEASIBLE:
+        with pytest.raises(PreprocessInfeasible):
+            preprocess(declared, Truncate(q))
+    else:
+        want = declared if cap is None else [min(d, cap) for d in declared]
+        assert preprocess(declared, Truncate(q)) == want
 
 
 # --------------------------------------------------------------- serialization
@@ -412,14 +430,13 @@ def test_tradeoff_csv_matches_fraction_formatting(k, data):
     lines = ["alpha,u_star"] + [f"{float(F(j, k)):.6f},{cap}" for j, cap in rows]
     curve = TradeoffCurve(k, rows)
     assert curve.to_csv() == "\n".join(lines) + "\n"
-    assert curve.pairs == tuple((F(j, k), cap) for j, cap in rows)
 
 
 @given(weight_vectors(max_k=12, max_value=200), st.sampled_from([F(3, 10), F(1, 2), F(3, 5)]))
 @settings(max_examples=150, deadline=None)
 def test_tradeoff_pairs_match_repeated_solve_property(v, alpha_star):
     want = curve_by_repeated_solve(list(v.values), alpha_star, solve_truncation, TruncationQuery)
-    assert tradeoff_curve(v, alpha_star).pairs == want
+    assert pairs(tradeoff_curve(v, alpha_star)) == want
 
 
 def test_weights_file_roundtrip(tmp_path):
@@ -482,16 +499,13 @@ def test_weights_file_reports_the_first_bad_line(tmp_path):
     ],
 )
 def test_weights_file_accepts(tmp_path, content, declared):
-    # ids count the value lines in file order
     path = tmp_path / "w.txt"
     _write(path, content)
-    v = read_weights_file(path)
-    assert v.values == tuple(sorted(declared))
-    assert v.by_id() == dict(enumerate(declared))
+    assert read_weights_file(path).values == tuple(sorted(declared))
 
 
 def test_weights_file_from_a_pipe(tmp_path):
-    # a pipe cannot be rewound, so it is read by the line loop from the start
+    # a pipe cannot be rewound; the file is read once, as a regular file is
     fifo = tmp_path / "w.fifo"
     os.mkfifo(fifo)
 
