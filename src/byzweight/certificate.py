@@ -46,6 +46,8 @@ class CertificateParams:
             raise ValueError(f"delta={self.delta} is too small: 3/delta overflows a float")
         if self.cap < 1:
             raise ValueError("cap must be positive")
+        if self.cap >= 2**1024 - 2**970:  # the margins scale with float(cap), which overflows
+            raise ValueError("cap must lie in float range (below 2^1024 - 2^970)")
         query = TruncationQuery(self.alpha, self.alpha_star)
         object.__setattr__(self, "alpha", query.alpha)
         object.__setattr__(self, "alpha_star", query.alpha_star)

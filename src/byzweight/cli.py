@@ -1,7 +1,9 @@
 """Command-line front end: tradeoff, certify, bound, simulate.
 
-Exit codes: 0 success, 2 bad arguments, config or file, 3 infeasible or
-empty result, 4 certificate refused.  All file output is CSV with \\n endings.
+Exit codes: 0 success, 1 bound violated (lhs > rhs), 2 refused input (bad
+arguments, config or file, or too large to allocate; only `main` maps it),
+3 infeasible or empty result, 4 certificate refused.  All file output is CSV
+with \\n endings.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .certificate import (
     certify_sample,
     int64_weights,
 )
-from .config import ConfigError, read_config
+from .config import read_config
 from .experiment import build_clients, build_task, run_grid
 from .tasks import objective_gap
 from .weights import (
@@ -48,11 +50,7 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def cmd_tradeoff(args) -> int:
-    try:
-        weights = read_weights_file(args.weights)
-        curve = tradeoff_curve(weights, args.alpha_star)
-    except ValueError as exc:
-        return _fail(str(exc))
+    curve = tradeoff_curve(read_weights_file(args.weights), args.alpha_star)
     if not curve.rows:
         print(
             "no feasible pairs: every candidate assumption is already satisfied "
@@ -69,25 +67,20 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    weights = read_weights_file(args.weights)
+    params = CertificateParams(
+        sample_size=args.k,
+        alpha=args.alpha,
+        alpha_star=args.alpha_star,
+        delta=args.delta,
+        cap=args.u,
+    )
+    capped = int64_weights(truncate(weights, args.u).values)
     try:
-        weights = read_weights_file(args.weights)
-        params = CertificateParams(
-            sample_size=args.k,
-            alpha=args.alpha,
-            alpha_star=args.alpha_star,
-            delta=args.delta,
-            cap=args.u,
-        )
-        capped = truncate(weights, args.u)
-        rng = np.random.default_rng(args.seed)
-        sample = rng.choice(int64_weights(capped.values), size=args.k, replace=True)
-        result = certify_sample(sample, params)
-    except AlphaTooSmall as exc:
-        return _fail(f"sample size too small for this alpha: {exc}")
-    except ValueError as exc:
-        return _fail(str(exc))
+        sample = np.random.default_rng(args.seed).choice(capped, size=args.k, replace=True)
     except MemoryError:
         return _fail(f"a sample of {args.k} weights does not fit in memory; lower --k")
+    result = certify_sample(sample, params)
     text = result.to_csv()
     if args.out_dir:
         _write(args.out_dir, "certificate.csv", text)
@@ -96,28 +89,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        cfg = read_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = read_config(args.config)
     shards, _ = build_task(cfg)
     clients = build_clients(cfg, cfg.scenarios[0], shards)
     declared = [c.declared_size for c in clients]
     model = cfg.model()
     w = np.random.default_rng(args.seed).standard_normal(model.param_count) * 0.1
-    try:
-        lhs, rhs = objective_gap(model, w, [c.data for c in clients], declared, args.u)
-    except ValueError as exc:
-        return _fail(str(exc))
+    lhs, rhs = objective_gap(model, w, [c.data for c in clients], declared, args.u)
     sys.stdout.write(f"lhs,rhs\n{lhs!r},{rhs!r}\n")
     return EXIT_OK if lhs <= rhs + 1e-9 else 1
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = read_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = read_config(args.config)
     if args.jobs < 1:
         return _fail("jobs must be >= 1")
     results = run_grid(cfg, out_dir=args.out_dir, jobs=args.jobs)
@@ -180,8 +164,12 @@ def main(argv=None) -> int:
         return _fail("seed must be a non-negative integer")
     try:
         return args.run(args)
-    except OSError as exc:  # an unreadable input or an unusable --out-dir
+    except AlphaTooSmall as exc:
+        return _fail(f"sample size too small for this alpha: {exc}")
+    except (ValueError, OSError) as exc:  # the library's input checks, an unusable --out-dir
         return _fail(str(exc))
+    except MemoryError as exc:  # numpy names the size; a bare MemoryError has no message
+        return _fail(str(exc) or "an input is too large to allocate")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,10 @@ def as_fraction(x: Union[Fraction, int, float, str]) -> Fraction:
     if isinstance(x, float):
         x = str(x)
     if isinstance(x, (Fraction, int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:  # "1/0": argparse reports only ValueError and TypeError
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
 

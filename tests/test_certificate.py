@@ -52,6 +52,18 @@ def test_delta_whose_log_term_overflows_is_refused():
             params(delta=delta)
 
 
+def test_cap_beyond_float_range_is_refused():
+    # margins scale with float(cap): 2^1024 - 2^970 is the least int that overflows
+    last = 2**1024 - 2**970 - 1
+    m = margins(params(cap=last))  # Tier-1 turns any numpy warning into an error
+    assert m.eps3 == last * math.sqrt(math.log(3.0 / 0.05) / 400.0)
+    assert math.isfinite(m.eps2)
+    assert certify_sample(np.ones(200, dtype=np.int64), params(cap=last)).lhs == math.inf
+    for cap in (last + 1, 10**320):
+        with pytest.raises(ValueError, match=r"^cap must lie in float range \(below 2\^1024 - 2\^970\)$"):
+            params(cap=cap)
+
+
 def test_margins_match_direct_formulas():
     p = params(k=500, alpha=F(3, 10), delta=0.1, cap=7)
     m = margins(p)

@@ -547,6 +547,10 @@ def test_certify_weights_beyond_int64_exit_2(tmp_path, capsys):
     write_weights(wfile, [1, 2, 3])
     assert main(argv + ["--weights", str(wfile)]) == 4
     assert capsys.readouterr().out.splitlines()[1].startswith("false,")
+    # so is a cap up to the float range; 2^1024 - 2^970 is refused (see below)
+    argv[-1] = str(2**1024 - 2**970 - 1)
+    assert main(argv + ["--weights", str(wfile)]) == 4
+    assert capsys.readouterr().out.splitlines()[1].startswith("false,inf,")
 
 
 def test_bound_command(tmp_path, capsys):
@@ -639,6 +643,52 @@ def test_certify_sample_too_large_for_memory_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: a sample of {10**13} weights does not fit in memory")
+
+
+def certify_argv(alpha="1/2", alpha_star="9/10", u="5"):
+    return ["certify", "--weights", "{w}", "--k", "2000", "--alpha", alpha,
+            "--alpha-star", alpha_star, "--delta", "0.1", "--u", u]
+
+
+@pytest.mark.parametrize(
+    "argv, by_argparse",
+    [
+        # Fraction("1/0") raised ZeroDivisionError, which argparse lets through
+        (["tradeoff", "--weights", "{w}", "--alpha-star", "1/0"], True),
+        (certify_argv(alpha="1/0"), True),
+        (certify_argv(alpha_star="1/0"), True),
+        # a cap beyond float range raised OverflowError in the margins
+        (certify_argv(u=str(2**1024 - 2**970)), False),
+        (certify_argv(u="1" + "0" * 320), False),
+        # the first array, _class_means' 10 x 10^16 float64 (711 PiB), is larger
+        # than any 64-bit CPU's virtual address space (at most 2^57 bytes), so
+        # it is refused at once; a numpy MemoryError traceback exited 1
+        (["simulate", "--config", "{huge}", "--out-dir", "{out}"], False),
+        (["bound", "--config", "{huge}", "--u", "5"], False),
+        (["tradeoff", "--weights", "{absent}", "--alpha-star", "1/2"], False),
+        (["bound", "--config", "{bad}", "--u", "5"], False),
+    ],
+    ids=["tradeoff-alpha-star-1/0", "certify-alpha-1/0", "certify-alpha-star-1/0",
+         "certify-u-2^1024-2^970", "certify-u-10^320", "simulate-dim-10^16",
+         "bound-dim-10^16", "unreadable-weights", "malformed-config"],
+)
+def test_no_refused_input_escapes_main(tmp_path, capsys, argv, by_argparse):
+    # a refused input exits 2 with one named error, never with a traceback
+    paths = {name: tmp_path / name for name in ("w", "huge", "bad", "absent", "out")}
+    write_weights(paths["w"], [1, 2, 3, 4, 100])
+    paths["huge"].write_text("[task]\ndim = 10000000000000000\n")
+    paths["bad"].write_text("[task]\ndim = x\n")
+    argv = [arg.format(**paths) for arg in argv]
+    if by_argparse:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid as_fraction value: '1/0'" in capsys.readouterr().err
+        return
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_simulate_command_and_unknown_key(tmp_path, capsys):

@@ -25,6 +25,7 @@ from byzweight.weights import (
     ZeroTotalWeight,
     _crossings,
     preprocess,
+    as_fraction,
     read_weights_file,
     solve_truncation,
     top_share,
@@ -531,3 +532,14 @@ def test_query_validation():
         TruncationQuery(F(1, 2), F(1))
     with pytest.raises(ValueError):
         TruncationQuery(F(3, 2), F(1, 2))
+
+
+def test_zero_denominator_is_a_value_error():
+    # Fraction("1/0") raised ZeroDivisionError, which argparse does not report
+    for x in ("1/0", "-3/0", " 0/0 "):
+        with pytest.raises(ValueError, match=r"has a zero denominator$"):
+            as_fraction(x)
+    with pytest.raises(ValueError):
+        TruncationQuery("1/0", F(1, 2))
+    with pytest.raises(ValueError):
+        TruncationQuery(F(1, 5), "1/0")
