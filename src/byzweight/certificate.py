@@ -112,7 +112,8 @@ def margins(params: CertificateParams) -> CertificateMargins:
     alpha = float(params.alpha)
     if alpha <= eps1:
         raise AlphaTooSmall(
-            f"alpha={alpha} must exceed eps1={eps1:.6g}; increase the sample size"
+            f"sample size too small for this alpha: alpha={alpha} must exceed "
+            f"eps1={eps1:.6g}; increase the sample size"
         )
     eps2 = params.cap * math.sqrt(base / (2.0 * (k * (alpha - eps1) + 1.0)))
     eps3 = params.cap * math.sqrt(base / (2.0 * k))

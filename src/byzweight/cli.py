@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .certificate import (
-    AlphaTooSmall,
     CertificateParams,
     certify_sample,
     int64_weights,
@@ -164,8 +163,6 @@ def main(argv=None) -> int:
         return _fail("seed must be a non-negative integer")
     try:
         return args.run(args)
-    except AlphaTooSmall as exc:
-        return _fail(f"sample size too small for this alpha: {exc}")
     except (ValueError, OSError) as exc:  # the library's input checks, an unusable --out-dir
         return _fail(str(exc))
     except MemoryError as exc:  # numpy names the size; a bare MemoryError has no message

@@ -15,7 +15,7 @@ from typing import Optional, Union, get_type_hints
 
 from .engine import (Behavior, TrainConfig, TrimmedMean, WeightedMean, WeightedMedian,
                      participants_per_round)
-from .tasks import OneHiddenMLP, SoftmaxRegression
+from .tasks import OneHiddenMLP, PartitionSpec, SoftmaxRegression
 from .weights import Ignore, Passthrough, Truncate, TruncationQuery
 
 # One table per cell axis: token -> the object it builds from the config.
@@ -90,8 +90,8 @@ class ExperimentConfig:
         # generate data, and a config is proved before anything runs.
         if self.classes < 1 or self.dim < self.classes:
             raise ConfigError("need 1 <= classes <= dim")
-        if self.train_samples < self.clients or self.clients < 1:
-            raise ConfigError("need train_samples >= clients >= 1")
+        if not abs(self.separation) <= sys.float_info.max:
+            raise ConfigError("separation must be finite")
         if self.test_samples < 1:
             raise ConfigError("test_samples must be positive")
         if self.model_kind not in _MODELS:
@@ -111,6 +111,7 @@ class ExperimentConfig:
         # aggregator and model that read the most values, so no rule is
         # restated here.
         try:
+            self.partition()
             query = self.train_config("truncate", "trimmed").preprocess.query
             _MODELS["mlp"](self)
             participants_per_round(self.clients_per_round, self.clients)
@@ -120,6 +121,11 @@ class ExperimentConfig:
 
     def model(self):
         return _MODELS[self.model_kind](self)
+
+    def partition(self, seed=0) -> PartitionSpec:
+        """The client-size partition of the training samples, drawn from seed."""
+        return PartitionSpec(self.train_samples, self.clients, self.partition_mu,
+                             self.partition_sigma, seed)
 
     def attack(self, scenario: str) -> tuple[Behavior, int, int]:
         """A scenario's attackers: their behavior, how many, and the size each declares."""

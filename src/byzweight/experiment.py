@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .engine import ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
-from .tasks import PartitionSpec, generate_blobs, generate_partition, split_by_sizes
+from .tasks import generate_blobs, generate_partition, split_by_sizes
 from .weights import PreprocessInfeasible
 
 # seed tags for task construction; the engine owns tags 1..5
@@ -52,15 +52,7 @@ def build_task(cfg: ExperimentConfig):
         seed=(cfg.master_seed, _TAG_TEST_DATA),
         separation=cfg.separation,
     )
-    sizes = generate_partition(
-        PartitionSpec(
-            cfg.train_samples,
-            cfg.clients,
-            mu=cfg.partition_mu,
-            sigma=cfg.partition_sigma,
-            seed=(cfg.master_seed, _TAG_PARTITION),
-        )
-    )
+    sizes = generate_partition(cfg.partition(seed=(cfg.master_seed, _TAG_PARTITION)))
     shards = split_by_sizes(train, sizes, seed=(cfg.master_seed, _TAG_SPLIT))
     return shards, test
 
@@ -153,10 +145,10 @@ def run_grid(
     pool workers each get them and the test set once and run one BLAS thread;
     jobs = 1 keeps the caller's BLAS setting.
     """
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     shards, test = build_task(cfg)
     clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
+    out = out_dir if out_dir is not None else cfg.out_dir
+    os.makedirs(out, exist_ok=True)  # after the builds, so a refused task leaves no directory
     cells = grid_cells(cfg)
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))

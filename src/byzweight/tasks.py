@@ -1,11 +1,11 @@
 """Synthetic classification task, client data partitioning, and models.
 
-The task is deliberately small: Gaussian blobs with one scaled basis vector
-per class, split across clients by a heavy-tailed lognormal partition that
-mirrors real federated deployments (many tiny clients, a few huge ones).
-Two models train on it, a softmax linear classifier and a one-hidden-layer
-ReLU network with dropout; both expose analytic gradients so the trainer
-needs no autodiff.
+Gaussian blobs with one scaled basis vector per class, split across clients
+by a heavy-tailed lognormal partition (many tiny clients, a few huge ones).
+Two models, a softmax classifier and a one-hidden-layer ReLU network with
+dropout, each define only `_forward`: stacked (m, P) parameters and (m, L, d)
+features give (m, L, c) logits and the map from their gradient to the
+parameter gradients.  Cross-entropy `loss`, `gradient` and `predict` are shared.
 """
 
 from __future__ import annotations
@@ -33,6 +33,16 @@ class PartitionSpec:
     sigma: float = 3.45
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.clients < 1:
+            raise ValueError("need at least one client")
+        if self.total_samples < self.clients:
+            raise InfeasibleTotal(
+                f"{self.total_samples} samples cannot cover {self.clients} clients"
+            )
+        if not math.isfinite(self.mu) or not 0 <= self.sigma < math.inf:
+            raise ValueError("partition mu and sigma must be finite, and sigma non-negative")
+
 
 def _largest_remainder(raw: np.ndarray, total: int, floor: int) -> list[int]:
     # floor goes to everyone first; the spare mass is split proportionally,
@@ -53,14 +63,12 @@ def generate_partition(spec: PartitionSpec) -> list[int]:
 
     Every client receives at least one sample; sizes come in draw order.
     """
-    if spec.clients < 1:
-        raise ValueError("need at least one client")
-    if spec.total_samples < spec.clients:
-        raise InfeasibleTotal(
-            f"{spec.total_samples} samples cannot cover {spec.clients} clients"
-        )
     rng = np.random.default_rng(spec.seed)
     raw = rng.lognormal(spec.mu, spec.sigma, spec.clients)
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        drawn = raw.sum()
+    if not 0 < drawn < math.inf:
+        raise ValueError(f"partition sizes at mu={spec.mu}, sigma={spec.sigma} sum to {drawn}")
     return _largest_remainder(raw, spec.total_samples, floor=1)
 
 
@@ -111,6 +119,8 @@ def generate_blobs(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if not math.isfinite(separation):
+        raise ValueError("separation must be finite")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
     means = _class_means(dim, classes, separation)
@@ -157,13 +167,35 @@ def _as_stack(model, w, batch: Dataset, dropout_rng):
     return w[None], batch.features[None], batch.labels[None], rngs
 
 
-def _cross_entropy_scores(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of each batch's mean cross-entropy in its (m, L, c) logits."""
+def _linear_grads(inputs: np.ndarray, delta: np.ndarray) -> list[np.ndarray]:
+    """A stacked linear layer's weight and bias gradients from the gradient in its outputs."""
+    return [inputs.swapaxes(1, 2) @ delta, delta.sum(axis=1)]
+
+
+def _loss(model, w, batch: Dataset, dropout_rng=None) -> float:
+    """Mean cross-entropy of one 2-D batch."""
+    if batch.features.ndim == 3:
+        raise ValueError("loss takes one 2-D batch, not a stack of batches")
+    w, features, _, rngs = _as_stack(model, w, batch, dropout_rng)
+    logp = _log_softmax(model._forward(w, features, rngs)[0][0])
+    return float(-logp[np.arange(len(batch)), batch.labels].mean())
+
+
+def _gradient(model, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
+    """Mean cross-entropy gradient: (m, P) for a stack, (P,) for one batch."""
+    w_stack, features, labels, rngs = _as_stack(model, w, batch, dropout_rng)
+    logits, backward = model._forward(w_stack, features, rngs)
+    # scores: the gradient of each batch's mean cross-entropy in its logits
     m, n = labels.shape
     scores = _softmax(logits)
     scores.reshape(m * n, -1)[np.arange(m * n), labels.ravel()] -= 1.0
     scores /= n
-    return scores
+    grad = np.concatenate([g.reshape(m, -1) for g in backward(scores)], axis=1)
+    return grad if batch.features.ndim == 3 else grad[0]
+
+
+def _predict(model, w, features: np.ndarray) -> np.ndarray:
+    return model._forward(w[None], features[None], None)[0][0].argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -180,27 +212,14 @@ class SoftmaxRegression:
     def init_params(self, rng=None) -> np.ndarray:
         return np.zeros(self.param_count)
 
-    def _logits(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def _forward(self, w, features, dropout_rngs):
         # w (m, P) and features (m, L, d) give logits (m, L, c)
         split = self.dim * self.classes
         weight = w[:, :split].reshape(len(w), self.dim, self.classes)
-        return features @ weight + w[:, None, split:]
+        return features @ weight + w[:, None, split:], lambda delta: _linear_grads(features, delta)
 
-    def loss(self, w, batch: Dataset, dropout_rng=None) -> float:
-        w, features, _, _ = _as_stack(self, w, batch, dropout_rng)
-        logp = _log_softmax(self._logits(w, features)[0])
-        return float(-logp[np.arange(len(batch)), batch.labels].mean())
-
-    def gradient(self, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
-        """Mean cross-entropy gradient: (m, P) for a stack, (P,) for one batch."""
-        w_stack, features, labels, _ = _as_stack(self, w, batch, dropout_rng)
-        scores = _cross_entropy_scores(self._logits(w_stack, features), labels)
-        grads = [features.swapaxes(1, 2) @ scores, scores.sum(axis=1)]
-        grad = np.concatenate([g.reshape(len(features), -1) for g in grads], axis=1)
-        return grad if batch.features.ndim == 3 else grad[0]
-
-    def predict(self, w, features: np.ndarray) -> np.ndarray:
-        return self._logits(w[None], features[None])[0].argmax(axis=1)
+    # bound in each class, not inherited: the benchmark traces each class's own methods
+    loss, gradient, predict = _loss, _gradient, _predict
 
 
 @dataclass(frozen=True)
@@ -239,16 +258,12 @@ class OneHiddenMLP:
             [w1.ravel(), np.zeros(self.hidden), w2.ravel(), np.zeros(self.classes)]
         )
 
-    def _unpack(self, w: np.ndarray):
-        # views of stacked parameters (m, P): w1, b1 (m, 1, h), w2, b2 (m, 1, c)
+    def _forward(self, w, features, dropout_rngs):
+        # stacked parameters (m, P) hold w1 (d, h), b1 (h,), w2 (h, c), b2 (c,)
         d, h, c, m = self.dim, self.hidden, self.classes, len(w)
         w1 = w[:, : d * h].reshape(m, d, h)
         w2 = w[:, d * h + h : d * h + h + h * c].reshape(m, h, c)
-        return w1, w[:, None, d * h : d * h + h], w2, w[:, None, d * h + h + h * c :]
-
-    def _forward(self, params, features, dropout_rngs):
-        w1, b1, w2, b2 = params
-        pre = features @ w1 + b1
+        pre = features @ w1 + w[:, None, d * h : d * h + h]
         # keep: each batch's mask in training mode, else the keep probability;
         # at rate 0 a mask would be all true, and x * True == x * 1.0 bit for bit
         keep = 1.0 - self.dropout_rate
@@ -256,27 +271,15 @@ class OneHiddenMLP:
             draws = np.stack([rng.random(pre.shape[1:]) for rng in dropout_rngs])
             keep = draws >= self.dropout_rate
         hidden = np.maximum(pre, 0.0) * keep
-        return pre, keep, hidden, hidden @ w2 + b2
 
-    def loss(self, w, batch: Dataset, dropout_rng=None) -> float:
-        w, features, _, rngs = _as_stack(self, w, batch, dropout_rng)
-        logp = _log_softmax(self._forward(self._unpack(w), features, rngs)[-1][0])
-        return float(-logp[np.arange(len(batch)), batch.labels].mean())
+        def backward(scores):  # the logits' gradient to those of w1, b1, w2, b2
+            grad_pre = (scores @ w2.swapaxes(1, 2)) * keep * (pre > 0)
+            return _linear_grads(features, grad_pre) + _linear_grads(hidden, scores)
 
-    def gradient(self, w, batch: Dataset, dropout_rng=None) -> np.ndarray:
-        """Mean cross-entropy gradient: (m, P) for a stack, (P,) for one batch."""
-        w_stack, features, labels, rngs = _as_stack(self, w, batch, dropout_rng)
-        params = self._unpack(w_stack)
-        pre, keep, hidden, logits = self._forward(params, features, rngs)
-        scores = _cross_entropy_scores(logits, labels)
-        grad_pre = (scores @ params[2].swapaxes(1, 2)) * keep * (pre > 0)
-        grad_w1, grad_w2 = features.swapaxes(1, 2) @ grad_pre, hidden.swapaxes(1, 2) @ scores
-        grads = [grad_w1, grad_pre.sum(axis=1), grad_w2, scores.sum(axis=1)]
-        grad = np.concatenate([g.reshape(len(features), -1) for g in grads], axis=1)
-        return grad if batch.features.ndim == 3 else grad[0]
+        return hidden @ w2 + w[:, None, d * h + h + h * c :], backward
 
-    def predict(self, w, features: np.ndarray) -> np.ndarray:
-        return self._forward(self._unpack(w[None]), features[None], None)[-1][0].argmax(axis=1)
+    # bound in each class, not inherited: the benchmark traces each class's own methods
+    loss, gradient, predict = _loss, _gradient, _predict
 
 
 Model = Union[SoftmaxRegression, OneHiddenMLP]

@@ -40,6 +40,15 @@ def test_tracer_installs_on_the_library_and_restores_it():
             assert (id(bz["engine"]), name) in patched
         bz["engine"].aggregate(WeightedMedian(), [np.array([1.0]), np.array([3.0])], [1, 1])
         assert tracer.names == ["engine.aggregate.median"]
+        # the models' shared loss and gradient still pass through each class's
+        # traced method, which tasks.gradient.us and tasks.eval.ms_per_round read
+        batch = t.Dataset(np.ones((3, 4)), np.array([0, 1, 0]))
+        for model in (t.SoftmaxRegression(4, 2), t.OneHiddenMLP(4, 3, 2, 0.0)):
+            w = np.zeros(model.param_count)
+            model.gradient(w, batch)
+            model.loss(w, batch)
+        t.accuracy(model, w, batch)
+        assert tracer.names[1:] == ["tasks.gradient", "tasks.loss"] * 2 + ["tasks.accuracy"]
     finally:
         tracer.restore()
     for owner, names in zip(owners, before):

@@ -8,6 +8,7 @@ import glob
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
@@ -36,7 +37,8 @@ from byzweight.experiment import (
     run_cell,
     run_grid,
 )
-from byzweight.tasks import OneHiddenMLP, SoftmaxRegression
+from byzweight.tasks import (OneHiddenMLP, PartitionSpec, SoftmaxRegression, generate_blobs,
+                             generate_partition)
 from byzweight.weights import (
     Ignore,
     Passthrough,
@@ -175,6 +177,19 @@ BOUNDARY_CASES = [
     ("seeds", "master", "0", 0, True),
     ("seeds", "master", "4294967296", 2**32, True),
     ("seeds", "master", "-3", -3, False),
+    ("task", "partition_mu", "0", 0.0, True),
+    ("task", "partition_mu", "nan", NAN, False),
+    ("task", "partition_mu", "inf", INF, False),
+    ("task", "partition_mu", "-inf", -INF, False),
+    ("task", "partition_sigma", "0", 0.0, True),
+    ("task", "partition_sigma", "-0.001", -0.001, False),
+    ("task", "partition_sigma", "nan", NAN, False),
+    ("task", "partition_sigma", "inf", INF, False),
+    ("task", "partition_sigma", "-inf", -INF, False),
+    ("task", "separation", "0", 0.0, True),
+    ("task", "separation", "nan", NAN, False),
+    ("task", "separation", "inf", INF, False),
+    ("task", "separation", "-inf", -INF, False),
 ]
 
 
@@ -205,6 +220,9 @@ OWNER_ROUTES = {
     "dropout": [lambda v: OneHiddenMLP(20, 32, 10, v)],
     "hidden": [lambda v: OneHiddenMLP(20, v, 10, 0.2)],
     "master": [lambda v: _train_config(master_seed=v)],
+    "partition_mu": [lambda v: generate_partition(PartitionSpec(200, 10, mu=v))],
+    "partition_sigma": [lambda v: generate_partition(PartitionSpec(200, 10, sigma=v))],
+    "separation": [lambda v: generate_blobs(50, 4, 2, 0, separation=v)],
 }
 
 
@@ -689,6 +707,48 @@ def test_no_refused_input_escapes_main(tmp_path, capsys, argv, by_argparse):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_certify_alpha_too_small_names_the_sample_size(tmp_path, capsys):
+    wfile = tmp_path / "w.txt"
+    write_weights(wfile, [5])
+    code = main(["certify", "--weights", str(wfile), "--k", "200", "--alpha", "1/20",
+                 "--alpha-star", "1/2", "--delta", "0.1", "--u", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: sample size too small for this alpha: alpha=0.05 must "
+                            "exceed eps1=0.0922117; increase the sample size\n")
+
+
+def probe_config(key, value) -> str:
+    # 10 clients, 200 training and 50 test samples, dim 4, 2 classes, one cell
+    task = {"dim": 4, "classes": 2, "train_samples": 200, "test_samples": 50, "clients": 10}
+    lines = "".join(f"{k} = {v}\n" for k, v in {**task, key: value}.items())
+    return f"[task]\n{lines}[preprocess]\nmodes = passthrough\n[aggregator]\nkinds = mean\n"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("partition_sigma", 1000),  # every draw overflows: the sizes summed to inf
+        ("partition_mu", -1000),  # every draw underflows to 0
+        ("dim", 10**16),  # the class means do not fit in memory
+    ],
+)
+def test_simulate_refused_task_exits_2_and_leaves_no_out_dir(tmp_path, capsys, key, value):
+    # the partitions printed numpy RuntimeWarnings, then a negative size sum,
+    # and every refused task left an empty --out-dir behind
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(probe_config(key, value))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(cfgfile), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert caught == []
+    assert not out.exists()
 
 
 def test_simulate_command_and_unknown_key(tmp_path, capsys):

@@ -223,6 +223,32 @@ def test_loss_invariant_under_batch_duplication():
     assert model.loss(w, doubled) == pytest.approx(model.loss(w, batch), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model, shape",
+    [
+        (SoftmaxRegression(dim=4, classes=3), (2, 2, 4)),
+        (SoftmaxRegression(dim=4, classes=3), (2, 5, 4)),
+        (OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.0), (3, 3, 4)),
+        (OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.0), (2, 5, 4)),
+    ],
+)
+def test_loss_refuses_a_stack(model, shape):
+    # loss read slice 0's logits with every slice's labels: a number when
+    # m == L (1.3517526013328338 and 1.5258206223239548 here), else IndexError
+    rng = np.random.default_rng(0)
+    stack = Dataset(rng.standard_normal(shape), rng.integers(0, 3, size=shape[:2]))
+    w = rng.standard_normal((shape[0], model.param_count))
+    with pytest.raises(ValueError, match="not a stack"):
+        model.loss(w, stack)
+
+
+def test_models_share_one_cross_entropy_path():
+    # each model defines its forward pass only; the three methods are one function each
+    for name in ("loss", "gradient", "predict"):
+        assert vars(SoftmaxRegression)[name] is vars(OneHiddenMLP)[name]
+    assert not hasattr(SoftmaxRegression, "_logits") and not hasattr(OneHiddenMLP, "_unpack")
+
+
 def finite_difference(loss_fn, w, h=1e-6):
     grad = np.zeros_like(w)
     for i in range(len(w)):
