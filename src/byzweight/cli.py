@@ -103,8 +103,8 @@ def cmd_simulate(args) -> int:
     cfg = read_config(args.config)
     if args.jobs < 1:
         return _fail("jobs must be >= 1")
-    results = run_grid(cfg, out_dir=args.out_dir, jobs=args.jobs)
     out = args.out_dir if args.out_dir is not None else cfg.out_dir
+    results = run_grid(cfg, out, jobs=args.jobs)
     print(f"{len(results)} cells -> {os.path.join(out, 'summary.csv')}")
     return EXIT_OK
 

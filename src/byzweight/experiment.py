@@ -17,7 +17,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 
@@ -79,8 +78,11 @@ class CellResult:
     preprocess: str
     aggregator: str
     attack: str
-    final_accuracy: float
-    metrics: tuple[RoundMetrics, ...]
+    metrics: tuple[RoundMetrics, ...]  # empty when the cell is infeasible or has no rounds
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.metrics[-1].test_accuracy if self.metrics else math.nan
 
 
 def run_cell(
@@ -92,10 +94,8 @@ def run_cell(
     try:
         _, metrics = run_training(cfg.model(), clients, test, train_cfg)
     except PreprocessInfeasible:
-        # the cell is unrunnable, not the experiment: record it as empty
-        return CellResult(preprocess, aggregator, attack, math.nan, ())
-    final = metrics[-1].test_accuracy if metrics else math.nan
-    return CellResult(preprocess, aggregator, attack, final, tuple(metrics))
+        metrics = ()  # the cell is unrunnable, not the experiment: record it as empty
+    return CellResult(preprocess, aggregator, attack, tuple(metrics))
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, str, str]]:
@@ -136,30 +136,29 @@ def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str,
     return run_cell(cfg, clients[attack], test, preprocess, aggregator, attack)
 
 
-def run_grid(
-    cfg: ExperimentConfig, out_dir: Optional[str] = None, jobs: int = 1
-) -> list[CellResult]:
-    """Run every cell, write one metrics CSV each plus summary.csv.
+def run_cells(cfg: ExperimentConfig, clients, test, cells, jobs: int = 1) -> list[CellResult]:
+    """Each (preprocess, aggregator, attack) cell's result on clients[attack] and test.
 
-    Each scenario's clients are built once.  With jobs > 1, min(jobs, cells)
-    pool workers each get them and the test set once and run one BLAS thread;
-    jobs = 1 keeps the caller's BLAS setting.
+    jobs > 1 forks min(jobs, cells) pool workers, which get clients and test
+    once and run one BLAS thread; jobs = 1 keeps this process's BLAS setting.
     """
-    shards, test = build_task(cfg)
-    clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)  # after the builds, so a refused task leaves no directory
-    cells = grid_cells(cfg)
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(clients, test)) as ex:
-            results = list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
-    else:
-        results = [run_cell(cfg, clients[s], test, p, a, s) for p, a, s in cells]
+            return list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
+    return [run_cell(cfg, clients[s], test, p, a, s) for p, a, s in cells]
+
+
+def run_grid(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[CellResult]:
+    """Run every cell through run_cells; write one metrics CSV each plus summary.csv."""
+    shards, test = build_task(cfg)
+    clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
+    os.makedirs(out_dir, exist_ok=True)  # after the builds, so a refused task leaves no directory
+    results = run_cells(cfg, clients, test, grid_cells(cfg), jobs)
     for r in results:
         name = metrics_filename(r.preprocess, r.aggregator, r.attack)
-        with open(os.path.join(out, name), "w", newline="") as fh:
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
             fh.write(metrics_to_csv(r.metrics))
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         fh.write(summary_csv(results))
     return results

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +20,7 @@ from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.certificate import CertificateParams, false_certification_rate
 from byzweight.engine import aggregate_trimmed_mean, aggregate_weighted_median
-from byzweight.experiment import _init_worker, _run_cell_in_worker, build_clients, build_task
+from byzweight.experiment import build_clients, build_task, run_cells
 from byzweight.tasks import (
     Dataset,
     OneHiddenMLP,
@@ -336,22 +335,15 @@ GRID = [
 COLLAPSE = 1 / 10 + 0.05  # chance level for 10 classes plus slack
 
 
-def _cell_worker(cell):
-    cfg = parse_config(ACCEPT_CONFIG)
-    return cell, _run_cell_in_worker(cfg, *cell).final_accuracy
-
-
 @pytest.fixture(scope="module")
 def sim():
-    workers = min(10, os.cpu_count() or 1)
     t0 = time.time()
-    # the same worker set-up as `simulate --jobs N`: each scenario's clients, the test set,
-    # one BLAS thread
+    # trained by the same call as `simulate --jobs N`
     cfg = parse_config(ACCEPT_CONFIG)
     shards, test = build_task(cfg)
     clients = {s: build_clients(cfg, s, shards) for s in {cell[2] for cell in GRID}}
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(clients, test)) as pool:
-        acc = dict(pool.map(_cell_worker, GRID))
+    results = run_cells(cfg, clients, test, GRID, jobs=min(10, os.cpu_count() or 1))
+    acc = {(r.preprocess, r.aggregator, r.attack): r.final_accuracy for r in results}
     return acc, time.time() - t0
 
 

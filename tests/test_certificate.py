@@ -234,6 +234,8 @@ def test_false_rate_zero_when_condition_holds():
     population = WeightVector.from_values([2] * 50)
     p = params(k=100, alpha=F(1, 5), alpha_star=F(1, 2), cap=4)
     assert false_certification_rate(population, p, trials=50, seed=1) == 0.0
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        false_certification_rate(population, p, trials=0, seed=1)
 
 
 def test_false_rate_matches_per_trial_streams():

@@ -6,6 +6,7 @@ import configparser
 import ctypes
 import glob
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -109,14 +110,17 @@ def test_unknown_section_and_key_rejected():
         parse_config("[task]\ndimension = 5\n")
     with pytest.raises(ConfigError):
         parse_config("[task]\ndim = five\n")
+    with pytest.raises(ConfigError, match="^config syntax: File contains no section headers"):
+        parse_config("dim = 4\n")
 
 
 NAN = float("nan")
 INF = float("inf")
 
-# (section, key, config text, the same value in Python, accepted): values just
-# inside and just outside every bound, plus NaN and infinities for the floats.
-# The config defaults hold 100 clients.
+# (section, key, config text, the same value in Python, True if accepted, else
+# False or the refusal's message): values just inside and just outside every
+# bound, plus NaN and infinities for the floats.  The config defaults hold 100
+# clients.
 BOUNDARY_CASES = [
     ("preprocess", "alpha", "1/1000000", F(1, 1000000), True),
     ("preprocess", "alpha", "1", F(1), True),
@@ -190,6 +194,21 @@ BOUNDARY_CASES = [
     ("task", "separation", "nan", NAN, False),
     ("task", "separation", "inf", INF, False),
     ("task", "separation", "-inf", -INF, False),
+    ("task", "test_samples", "1", 1, True),
+    ("task", "test_samples", "0", 0, "test_samples must be positive"),
+    ("task", "clients", "1", 1, True),
+    ("task", "clients", "0", 0, "need at least one client"),
+    ("model", "kind", "cnn", "cnn", "model kind must be one of ('softmax', 'mlp')"),
+    ("attack", "fraction", "0.000001", 0.000001, True),
+    ("attack", "fraction", "0.999999", 0.999999, True),
+    ("attack", "fraction", "0", 0.0, "attacker fraction must lie in (0, 1)"),
+    ("attack", "fraction", "1", 1.0, "attacker fraction must lie in (0, 1)"),
+    ("attack", "declared_single", "1", 1, True),
+    ("attack", "declared_single", "0", 0, "declared sizes must be positive"),
+    ("preprocess", "modes", "", (), "at least one preprocess mode required"),
+    ("aggregator", "kinds", "mean, mean", ("mean", "mean"), "duplicate aggregator kind"),
+    ("training", "honest_use_all_samples", "maybe", "maybe",
+     "bad value for [training] honest_use_all_samples: not a boolean: 'maybe'"),
 ]
 
 
@@ -223,6 +242,8 @@ OWNER_ROUTES = {
     "partition_mu": [lambda v: generate_partition(PartitionSpec(200, 10, mu=v))],
     "partition_sigma": [lambda v: generate_partition(PartitionSpec(200, 10, sigma=v))],
     "separation": [lambda v: generate_blobs(50, 4, 2, 0, separation=v)],
+    "test_samples": [lambda v: generate_blobs(v, 4, 2, 0)],
+    "clients": [lambda v: PartitionSpec(200, v)],
 }
 
 
@@ -242,12 +263,13 @@ def test_invalid_values_rejected():
     for section, key, text, value, accepted in BOUNDARY_CASES:
         config = f"[{section}]\n{key} = {text}\n"
         routes = OWNER_ROUTES.get(key, [])
-        if accepted:
+        if accepted is True:
             parse_config(config)
             for build in routes:
                 build(value)
             continue
-        with pytest.raises(ConfigError):
+        message = None if accepted is False else f"^{re.escape(accepted)}$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(config)
         for build in routes:
             with pytest.raises(ValueError):
@@ -663,50 +685,66 @@ def test_certify_sample_too_large_for_memory_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: a sample of {10**13} weights does not fit in memory")
 
 
-def certify_argv(alpha="1/2", alpha_star="9/10", u="5"):
-    return ["certify", "--weights", "{w}", "--k", "2000", "--alpha", alpha,
-            "--alpha-star", alpha_star, "--delta", "0.1", "--u", u]
+def certify_argv(alpha="1/2", alpha_star="9/10", u="5", k="2000", delta="0.1"):
+    return ["certify", "--weights", "{w}", "--k", k, "--alpha", alpha,
+            "--alpha-star", alpha_star, "--delta", delta, "--u", u]
+
+
+FRACTION_1_0 = "invalid as_fraction value: '1/0'"
+CAP_RANGE = "cap must lie in float range (below 2^1024 - 2^970)"
+TOO_LARGE = "Unable to allocate 711. PiB"
 
 
 @pytest.mark.parametrize(
-    "argv, by_argparse",
+    "argv, by_argparse, message",
     [
         # Fraction("1/0") raised ZeroDivisionError, which argparse lets through
-        (["tradeoff", "--weights", "{w}", "--alpha-star", "1/0"], True),
-        (certify_argv(alpha="1/0"), True),
-        (certify_argv(alpha_star="1/0"), True),
+        (["tradeoff", "--weights", "{w}", "--alpha-star", "1/0"], True, FRACTION_1_0),
+        (certify_argv(alpha="1/0"), True, FRACTION_1_0),
+        (certify_argv(alpha_star="1/0"), True, FRACTION_1_0),
         # a cap beyond float range raised OverflowError in the margins
-        (certify_argv(u=str(2**1024 - 2**970)), False),
-        (certify_argv(u="1" + "0" * 320), False),
+        (certify_argv(u=str(2**1024 - 2**970)), False, CAP_RANGE),
+        (certify_argv(u="1" + "0" * 320), False, CAP_RANGE),
         # the first array, _class_means' 10 x 10^16 float64 (711 PiB), is larger
         # than any 64-bit CPU's virtual address space (at most 2^57 bytes), so
         # it is refused at once; a numpy MemoryError traceback exited 1
-        (["simulate", "--config", "{huge}", "--out-dir", "{out}"], False),
-        (["bound", "--config", "{huge}", "--u", "5"], False),
-        (["tradeoff", "--weights", "{absent}", "--alpha-star", "1/2"], False),
-        (["bound", "--config", "{bad}", "--u", "5"], False),
+        (["simulate", "--config", "{huge}", "--out-dir", "{out}"], False, TOO_LARGE),
+        (["bound", "--config", "{huge}", "--u", "5"], False, TOO_LARGE),
+        (["tradeoff", "--weights", "{absent}", "--alpha-star", "1/2"], False,
+         "[Errno 2] No such file or directory: "),
+        (["bound", "--config", "{bad}", "--u", "5"], False,
+         "bad value for [task] dim: invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--config", "{small}", "--out-dir", "{out}", "--jobs", "0"], False,
+         "jobs must be >= 1"),
+        (certify_argv(k="0"), False, "sample_size must be positive"),
+        (certify_argv(delta="0"), False, "delta must lie in (0, 1), got 0.0"),
+        (certify_argv(delta="1"), False, "delta must lie in (0, 1), got 1.0"),
+        (certify_argv(delta="nan"), False, "delta must lie in (0, 1), got nan"),
     ],
     ids=["tradeoff-alpha-star-1/0", "certify-alpha-1/0", "certify-alpha-star-1/0",
          "certify-u-2^1024-2^970", "certify-u-10^320", "simulate-dim-10^16",
-         "bound-dim-10^16", "unreadable-weights", "malformed-config"],
+         "bound-dim-10^16", "unreadable-weights", "malformed-config", "simulate-jobs-0",
+         "certify-k-0", "certify-delta-0", "certify-delta-1", "certify-delta-nan"],
 )
-def test_no_refused_input_escapes_main(tmp_path, capsys, argv, by_argparse):
+def test_no_refused_input_escapes_main(tmp_path, capsys, argv, by_argparse, message):
     # a refused input exits 2 with one named error, never with a traceback
-    paths = {name: tmp_path / name for name in ("w", "huge", "bad", "absent", "out")}
+    paths = {name: tmp_path / name for name in ("w", "huge", "bad", "small", "absent", "out")}
     write_weights(paths["w"], [1, 2, 3, 4, 100])
     paths["huge"].write_text("[task]\ndim = 10000000000000000\n")
     paths["bad"].write_text("[task]\ndim = x\n")
+    paths["small"].write_text(SMALL)
     argv = [arg.format(**paths) for arg in argv]
     if by_argparse:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert "invalid as_fraction value: '1/0'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         return
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not paths["out"].exists()
 
 
 def test_certify_alpha_too_small_names_the_sample_size(tmp_path, capsys):
@@ -720,10 +758,10 @@ def test_certify_alpha_too_small_names_the_sample_size(tmp_path, capsys):
                             "exceed eps1=0.0922117; increase the sample size\n")
 
 
-def probe_config(key, value) -> str:
+def probe_config(**overrides) -> str:
     # 10 clients, 200 training and 50 test samples, dim 4, 2 classes, one cell
     task = {"dim": 4, "classes": 2, "train_samples": 200, "test_samples": 50, "clients": 10}
-    lines = "".join(f"{k} = {v}\n" for k, v in {**task, key: value}.items())
+    lines = "".join(f"{k} = {v}\n" for k, v in {**task, **overrides}.items())
     return f"[task]\n{lines}[preprocess]\nmodes = passthrough\n[aggregator]\nkinds = mean\n"
 
 
@@ -739,7 +777,7 @@ def test_simulate_refused_task_exits_2_and_leaves_no_out_dir(tmp_path, capsys, k
     # the partitions printed numpy RuntimeWarnings, then a negative size sum,
     # and every refused task left an empty --out-dir behind
     cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(probe_config(key, value))
+    cfgfile.write_text(probe_config(**{key: value}))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -749,6 +787,37 @@ def test_simulate_refused_task_exits_2_and_leaves_no_out_dir(tmp_path, capsys, k
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert caught == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_infeasible_and_zero_round_cells_write_header_only_files(tmp_path, capsys, jobs):
+    # no cap brings the top half's share to 1/10, so the truncate cell is
+    # infeasible; it, like a cell with no rounds, records no rows and a NaN
+    # accuracy, in this process and in a pool worker alike
+    def simulate(name, modes, rounds):
+        cfgfile = tmp_path / f"{name}.ini"
+        cfgfile.write_text(probe_config().replace(
+            "[preprocess]\nmodes = passthrough\n",
+            f"[preprocess]\nmodes = {modes}\nalpha = 1/2\nalpha_star = 1/10\n",
+        ) + f"[training]\nrounds = {rounds}\n")
+        out = tmp_path / name
+        argv = ["simulate", "--config", str(cfgfile), "--out-dir", str(out), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        cells = len(modes.split(","))
+        assert capsys.readouterr().out == f"{cells} cells -> {out / 'summary.csv'}\n"
+        return {path.name: path.read_text() for path in out.iterdir()}
+
+    header = "round,test_accuracy,test_loss,aggregate_norm\n"
+    summary = "preprocess,aggregator,attack,final_accuracy\n"
+    both = simulate("both", "passthrough, truncate", 2)
+    alone = simulate("alone", "passthrough", 2)
+    assert both == {**alone, "metrics_truncate_mean_none.csv": header,
+                    "summary.csv": alone["summary.csv"] + "truncate,mean,none,nan\n"}
+    assert len(alone["metrics_passthrough_mean_none.csv"].splitlines()) == 3
+    assert simulate("zero", "passthrough", 0) == {
+        "metrics_passthrough_mean_none.csv": header,
+        "summary.csv": summary + "passthrough,mean,none,nan\n",
+    }
 
 
 def test_simulate_command_and_unknown_key(tmp_path, capsys):

@@ -13,6 +13,7 @@ from byzweight.engine import (
     AllMassTrimmed,
     Behavior,
     ClientSpec,
+    EmptyClientData,
     METRICS_CSV_HEADER,
     RoundMetrics,
     TrainConfig,
@@ -378,6 +379,13 @@ def test_honest_client_cannot_lie():
     ClientSpec(0, scalar_data(1.0, 2.0), 5, Behavior.MODEL_NEGATION)
 
 
+def test_client_needs_samples_and_a_positive_declared_size():
+    with pytest.raises(EmptyClientData, match="^client 3 holds no samples$"):
+        ClientSpec(3, scalar_data(), 1, Behavior.MODEL_NEGATION)
+    with pytest.raises(ValueError, match="^declared_size must be a positive integer$"):
+        ClientSpec(0, scalar_data(1.0), 0, Behavior.MODEL_NEGATION)
+
+
 # --------------------------------------------------------------- aggregators
 
 
@@ -482,6 +490,12 @@ def test_aggregate_dispatch():
     assert aggregate(TrimmedMean(0.0), ups, [1, 3]) == pytest.approx([3.5])
     with pytest.raises(ValueError):
         TrimmedMean(0.5)
+    unequal = "^need equally many updates and weights, at least one$"
+    for kind in (WeightedMean(), WeightedMedian(), TrimmedMean(0.0)):
+        with pytest.raises(ValueError, match=unequal):
+            aggregate(kind, ups, [1, 3, 1])
+    with pytest.raises(TypeError, match="^unknown aggregator <object object at "):
+        aggregate(object(), ups, [1, 3])
 
 
 def tied_updates(k: int, p: int, seed: int):

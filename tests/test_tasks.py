@@ -85,6 +85,8 @@ def test_blobs_single_class_and_dim_guard():
     assert set(ds.labels.tolist()) == {0}
     with pytest.raises(ValueError):
         generate_blobs(50, dim=3, classes=4, seed=0)
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        generate_blobs(0, dim=3, classes=1, seed=0)
 
 
 def test_blob_classes_are_linearly_separable():
@@ -240,6 +242,22 @@ def test_loss_refuses_a_stack(model, shape):
     w = rng.standard_normal((shape[0], model.param_count))
     with pytest.raises(ValueError, match="not a stack"):
         model.loss(w, stack)
+
+
+@pytest.mark.parametrize(
+    "model", [SoftmaxRegression(dim=4, classes=3), OneHiddenMLP(dim=4, hidden=5, classes=3)]
+)
+def test_gradient_refuses_an_empty_or_misshaped_batch(model):
+    w = np.zeros(model.param_count)
+    with pytest.raises(ValueError, match="^batch must be non-empty$"):
+        model.gradient(w, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)))
+    with pytest.raises(ValueError, match="^batch dimension 5 != model dimension 4$"):
+        model.gradient(w, Dataset(np.zeros((2, 5)), np.zeros(2, dtype=np.int64)))
+
+
+def test_mlp_init_needs_a_stream():
+    with pytest.raises(ValueError, match="^hidden-layer init needs a randomness stream$"):
+        OneHiddenMLP(dim=4, hidden=5, classes=3).init_params(None)
 
 
 def test_models_share_one_cross_entropy_path():
@@ -451,4 +469,6 @@ def test_gap_input_validation():
         objective_gap(model, w, shards, declared[:-1], cap=5)
     with pytest.raises(ValueError):
         objective_gap(model, w, shards, declared, cap=0)
+    with pytest.raises(ValueError, match="^declared counts must carry positive total weight$"):
+        objective_gap(model, w, shards, [0] * len(shards), cap=5)
 

@@ -84,6 +84,8 @@ def test_top_share_full_and_empty_group():
     v = wv(1, 2, 3, 4)
     assert top_share(v, 1) == 1
     assert top_share(v, 0) == 0
+    with pytest.raises(ValueError, match=r"^fraction must lie in \[0, 1\], got 3/2$"):
+        top_share(v, F(3, 2))
 
 
 def test_top_share_hand_values():
@@ -99,6 +101,8 @@ def test_top_share_zero_total():
 def test_top_share_decimal_string_and_float_mean_the_same():
     v = wv(1, 1, 1, 1, 100)
     assert top_share(v, "0.2") == top_share(v, 0.2) == top_share(v, F(1, 5))
+    with pytest.raises(TypeError, match="^cannot interpret <object .*> as an exact fraction$"):
+        as_fraction(object())
 
 
 @st.composite
