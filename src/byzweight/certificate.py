@@ -39,15 +39,15 @@ class CertificateParams:
 
     def __post_init__(self) -> None:
         if self.sample_size < 1:
-            raise ValueError("sample_size must be positive")
+            raise ValueError(f"sample_size (--k) must be positive, got {self.sample_size}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not math.isfinite(3.0 / self.delta):  # the margins take log(3/delta)
             raise ValueError(f"delta={self.delta} is too small: 3/delta overflows a float")
         if self.cap < 1:
-            raise ValueError("cap must be positive")
+            raise ValueError(f"cap (--u) must be positive, got {self.cap}")
         if self.cap >= 2**1024 - 2**970:  # the margins scale with float(cap), which overflows
-            raise ValueError("cap must lie in float range (below 2^1024 - 2^970)")
+            raise ValueError("cap (--u) must lie in float range (below 2^1024 - 2^970)")
         query = TruncationQuery(self.alpha, self.alpha_star)
         object.__setattr__(self, "alpha", query.alpha)
         object.__setattr__(self, "alpha_star", query.alpha_star)

@@ -21,6 +21,8 @@ client) the shuffle stream when it trains on more than one row, and the
 dropout stream when the model has a positive dropout_rate.  Each purpose has
 its own tag, so a stream left unbuilt changes no other draw.  A round's
 shuffle streams are seeded in one batch (streams), drawing the same numbers.
+Runs that share a run_training memo build the init, subset and round-1
+streams once between them.
 """
 
 from __future__ import annotations
@@ -465,28 +467,42 @@ def run_training(
     clients: Sequence[ClientSpec],
     testset: Dataset,
     cfg: TrainConfig,
+    memo: Optional[dict] = None,
 ) -> tuple[np.ndarray, list[RoundMetrics]]:
     """The full training loop; returns final parameters and per-round metrics.
 
-    Declared sizes become one weight per client id, and every client's
-    training rows are pooled, once before any round runs.  Each round,
-    client_update writes the selected clients' updates into the run's one
-    (m, P) matrix in ascending client id, which the aggregator reads.  A
-    non-finite aggregate ends the run with a NaN accuracy and loss record.
+    Declared sizes become one weight per client id.  The training rows are
+    pooled, and the initial model and round 1's (m, P) updates computed, once
+    per key of memo, which runs of the same clients, model and config but for
+    preprocess mode and aggregator may share: the key is the weights, which
+    fix the rows, or none under honest_use_all_samples.  From round 2,
+    client_update writes the selected clients' updates into the run's own
+    matrix in ascending client id, which the aggregator reads.  A non-finite
+    aggregate ends the run with a NaN accuracy and loss record.
     """
     clients = sorted(clients, key=lambda c: c.id)
     if [c.id for c in clients] != list(range(len(clients))):
         raise ValueError("client ids must be distinct and 0..K-1")
     weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
 
-    pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight[c.id]) for c in clients])
-    w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
-    updates = np.empty((participants_per_round(cfg.clients_per_round, len(clients)), len(w)))
+    memo = {} if memo is None else memo
+    key = None if cfg.honest_use_all_samples else tuple(weight)
+    if key not in memo:
+        pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight[c.id]) for c in clients])
+        w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
+        at = np.array(select_clients(1, len(clients), cfg.clients_per_round, cfg.master_seed))
+        first = client_update(model, w, at, pool, offset[at], n[at], cfg, 1,
+                              np.empty((len(at), len(w)))) if cfg.rounds else None
+        memo[key] = (pool, offset, n), w, at, first
+    (pool, offset, n), w, at, first = memo[key]  # round 1's matrix is read as it is, never copied
+    updates = np.empty_like(first) if cfg.rounds > 1 else None
     metrics: list[RoundMetrics] = []
     for t in range(1, cfg.rounds + 1):
-        at = np.array(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
-        client_update(model, w, at, pool, offset[at], n[at], cfg, t, updates)
-        w = aggregate(cfg.aggregator, updates, [weight[cid] for cid in at.tolist()])
+        if t > 1:
+            at = np.array(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
+            client_update(model, w, at, pool, offset[at], n[at], cfg, t, updates)
+        w = aggregate(cfg.aggregator, updates if t > 1 else first,
+                      [weight[cid] for cid in at.tolist()])
         norm = _norm(w)
         if not np.all(np.isfinite(w)):
             metrics.append(RoundMetrics(t, math.nan, math.nan, norm))

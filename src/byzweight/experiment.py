@@ -5,7 +5,9 @@ Cells share the same data, partition, and master seed, so any difference
 between their metric files comes from the cell axes alone.  The task, and
 each scenario's clients, are built once per grid and handed to every cell;
 a cell draws only from its own seeded streams, which keeps parallel runs
-byte-identical to sequential ones.
+byte-identical to sequential ones.  In this process, the cells of a
+scenario also share the row pool, initial model and round 1 they would
+each compute alike.
 """
 
 from __future__ import annotations
@@ -86,13 +88,15 @@ class CellResult:
 
 
 def run_cell(
-    cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str, attack: str
+    cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str, attack: str,
+    memo: dict | None = None,
 ) -> CellResult:
     """Train one cell on build_clients(cfg, attack, shards) and the test set
-    of the task that build_task(cfg) returned."""
+    of the task that build_task(cfg) returned, sharing memo with this
+    scenario's other cells."""
     train_cfg = cfg.train_config(preprocess, aggregator)
     try:
-        _, metrics = run_training(cfg.model(), clients, test, train_cfg)
+        _, metrics = run_training(cfg.model(), clients, test, train_cfg, memo)
     except PreprocessInfeasible:
         metrics = ()  # the cell is unrunnable, not the experiment: record it as empty
     return CellResult(preprocess, aggregator, attack, tuple(metrics))
@@ -137,16 +141,25 @@ def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str,
 
 
 def run_cells(cfg: ExperimentConfig, clients, test, cells, jobs: int = 1) -> list[CellResult]:
-    """Each (preprocess, aggregator, attack) cell's result on clients[attack] and test.
+    """Each (preprocess, aggregator, attack) cell's result on clients[attack] and test,
+    in the order of cells.
 
     jobs > 1 forks min(jobs, cells) pool workers, which get clients and test
-    once and run one BLAS thread; jobs = 1 keeps this process's BLAS setting.
+    once, run one BLAS thread and one cell a task.  jobs = 1 keeps this
+    process's BLAS setting and runs each scenario's cells back to back on one
+    run_training memo, dropped before the next scenario's cells run.
     """
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(clients, test)) as ex:
             return list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
-    return [run_cell(cfg, clients[s], test, p, a, s) for p, a, s in cells]
+    results = [None] * len(cells)
+    for scenario in dict.fromkeys(s for _, _, s in cells):
+        memo = {}
+        for i, (p, a, s) in enumerate(cells):
+            if s == scenario:
+                results[i] = run_cell(cfg, clients[s], test, p, a, s, memo)
+    return results
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[CellResult]:

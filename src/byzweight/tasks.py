@@ -264,17 +264,22 @@ class OneHiddenMLP:
         w1 = w[:, : d * h].reshape(m, d, h)
         w2 = w[:, d * h + h : d * h + h + h * c].reshape(m, h, c)
         pre = features @ w1 + w[:, None, d * h : d * h + h]
+        hidden = np.maximum(pre, 0.0)
         # keep: each batch's mask in training mode, else the keep probability;
-        # at rate 0 a mask would be all true, and x * True == x * 1.0 bit for bit
-        keep = 1.0 - self.dropout_rate
-        if dropout_rngs is not None and self.dropout_rate > 0:
-            draws = np.stack([rng.random(pre.shape[1:]) for rng in dropout_rngs])
-            keep = draws >= self.dropout_rate
-        hidden = np.maximum(pre, 0.0) * keep
+        # at rate 0 either would be 1, and x * 1.0 == x bit for bit, so none is applied
+        keep = None
+        if self.dropout_rate > 0:
+            keep = 1.0 - self.dropout_rate
+            if dropout_rngs is not None:
+                draws = np.stack([rng.random(pre.shape[1:]) for rng in dropout_rngs])
+                keep = draws >= self.dropout_rate
+            hidden = hidden * keep
 
         def backward(scores):  # the logits' gradient to those of w1, b1, w2, b2
-            grad_pre = (scores @ w2.swapaxes(1, 2)) * keep * (pre > 0)
-            return _linear_grads(features, grad_pre) + _linear_grads(hidden, scores)
+            grad_pre = scores @ w2.swapaxes(1, 2)
+            if keep is not None:
+                grad_pre = grad_pre * keep
+            return _linear_grads(features, grad_pre * (pre > 0)) + _linear_grads(hidden, scores)
 
         return hidden @ w2 + w[:, None, d * h + h + h * c :], backward
 
@@ -311,7 +316,7 @@ def objective_gap(
             f"{len(declared_list)} declared counts for {len(shards)} shards"
         )
     if cap < 1:
-        raise ValueError("cap must be positive")
+        raise ValueError(f"cap (--u) must be positive, got {cap}")
     k = len(shards)
     capped = [min(x, cap) for x in declared_list]
     declared_total = sum(declared_list)

@@ -40,7 +40,7 @@ def test_margins_zero_cap():
     # a cap below 1 leaves no weight to certify: refused, where cap 0 gave
     # margins of 0 and an lhs of inf
     for cap in (0, -1):
-        with pytest.raises(ValueError, match="^cap must be positive$"):
+        with pytest.raises(ValueError, match=rf"^cap \(--u\) must be positive, got {cap}$"):
             params(cap=cap, alpha=F(1, 2))
 
 
@@ -60,7 +60,7 @@ def test_cap_beyond_float_range_is_refused():
     assert math.isfinite(m.eps2)
     assert certify_sample(np.ones(200, dtype=np.int64), params(cap=last)).lhs == math.inf
     for cap in (last + 1, 10**320):
-        with pytest.raises(ValueError, match=r"^cap must lie in float range \(below 2\^1024 - 2\^970\)$"):
+        with pytest.raises(ValueError, match=r"^cap \(--u\) must lie in float range \(below 2\^1024 - 2\^970\)$"):
             params(cap=cap)
 
 

@@ -20,12 +20,14 @@ from byzweight.certificate import CertificateParams
 from byzweight.cli import main
 from byzweight import config
 from byzweight.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
+from byzweight import engine
 from byzweight.engine import (
     Behavior,
     TrainConfig,
     TrimmedMean,
     WeightedMean,
     WeightedMedian,
+    metrics_to_csv,
     select_clients,
 )
 from byzweight import experiment
@@ -394,7 +396,7 @@ def test_run_cell_trains_what_the_config_builds(monkeypatch):
     shards, test = build_task(cfg)
     seen = []
 
-    def spy(model, clients, test_set, train_cfg):
+    def spy(model, clients, test_set, train_cfg, memo):
         seen.append((model, train_cfg))
         return None, []
 
@@ -416,6 +418,46 @@ def test_run_grid_writes_every_cell(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "preprocess,aggregator,attack,final_accuracy"
     assert len(summary) == 19
+
+
+def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
+    # at --jobs 1 a scenario's cells start from one row pool and one model, so
+    # only its first cell runs round 1's local training
+    cfg = parse_config(SMALL)
+    calls, scenario, update, run = [], [], engine.client_update, experiment.run_cell
+
+    def run_spy(*args):
+        scenario.append(args[5])  # run_cell(cfg, clients, test, preprocess, aggregator, attack, ...)
+        return run(*args)
+
+    def update_spy(*args):
+        calls.append(scenario[-1])
+        return update(*args)
+
+    monkeypatch.setattr(experiment, "run_cell", run_spy)
+    monkeypatch.setattr(engine, "client_update", update_spy)
+    run_grid(cfg, out_dir=str(tmp_path), jobs=1)
+    cells = len(cfg.preprocess_modes) * len(cfg.aggregator_kinds)
+    assert {s: calls.count(s) for s in cfg.scenarios} == {
+        s: cfg.rounds * cells - (cells - 1) for s in cfg.scenarios}
+
+
+def test_in_process_cells_equal_cells_run_alone():
+    # without honest_use_all_samples a cell's rows depend on its weights, so
+    # only cells with equal weights may share them; sampled rounds and
+    # label-shifted rows must come out as in a cell run on its own
+    cfg = parse_config(SMALL.replace("batch_size = 16\n", "batch_size = 16\n"
+                                     "clients_per_round = 0.6\nhonest_use_all_samples = false\n")
+                       .replace("negation_single", "label_shift_fraction"))
+    shards, test = build_task(cfg)
+    clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
+    cells = grid_cells(cfg)
+    results = experiment.run_cells(cfg, clients, test, cells, jobs=1)
+    assert [(r.preprocess, r.aggregator, r.attack) for r in results] == cells
+    for r, (p, a, s) in zip(results, cells):
+        alone = run_cell(cfg, clients[s], test, p, a, s)
+        assert len(r.metrics) == cfg.rounds
+        assert metrics_to_csv(r.metrics) == metrics_to_csv(alone.metrics)
 
 
 def _openblas():
@@ -627,7 +669,7 @@ def test_certify_cap_below_one_is_a_usage_error(tmp_path, capsys):
                      "--alpha-star", "9/10", "--delta", "0.05", "--u", cap])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: cap must be positive\n"
+        assert captured.err == f"error: cap (--u) must be positive, got {cap}\n"
 
 
 def test_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
@@ -691,7 +733,7 @@ def certify_argv(alpha="1/2", alpha_star="9/10", u="5", k="2000", delta="0.1"):
 
 
 FRACTION_1_0 = "invalid as_fraction value: '1/0'"
-CAP_RANGE = "cap must lie in float range (below 2^1024 - 2^970)"
+CAP_RANGE = "cap (--u) must lie in float range (below 2^1024 - 2^970)"
 TOO_LARGE = "Unable to allocate 711. PiB"
 
 
@@ -716,7 +758,11 @@ TOO_LARGE = "Unable to allocate 711. PiB"
          "bad value for [task] dim: invalid literal for int() with base 10: 'x'"),
         (["simulate", "--config", "{small}", "--out-dir", "{out}", "--jobs", "0"], False,
          "jobs must be >= 1"),
-        (certify_argv(k="0"), False, "sample_size must be positive"),
+        # the refusals of --k and --u name the flag, not only the library's parameter
+        (certify_argv(k="0"), False, "sample_size (--k) must be positive, got 0\n"),
+        (certify_argv(k="-3"), False, "sample_size (--k) must be positive, got -3\n"),
+        (certify_argv(u="0"), False, "cap (--u) must be positive, got 0\n"),
+        (["bound", "--config", "{small}", "--u", "0"], False, "cap (--u) must be positive, got 0\n"),
         (certify_argv(delta="0"), False, "delta must lie in (0, 1), got 0.0"),
         (certify_argv(delta="1"), False, "delta must lie in (0, 1), got 1.0"),
         (certify_argv(delta="nan"), False, "delta must lie in (0, 1), got nan"),
@@ -724,7 +770,7 @@ TOO_LARGE = "Unable to allocate 711. PiB"
     ids=["tradeoff-alpha-star-1/0", "certify-alpha-1/0", "certify-alpha-star-1/0",
          "certify-u-2^1024-2^970", "certify-u-10^320", "simulate-dim-10^16",
          "bound-dim-10^16", "unreadable-weights", "malformed-config", "simulate-jobs-0",
-         "certify-k-0", "certify-delta-0", "certify-delta-1", "certify-delta-nan"],
+         "certify-k-0", "certify-k--3", "certify-u-0", "bound-u-0", "certify-delta-0", "certify-delta-1", "certify-delta-nan"],
 )
 def test_no_refused_input_escapes_main(tmp_path, capsys, argv, by_argparse, message):
     # a refused input exits 2 with one named error, never with a traceback
