@@ -11,7 +11,9 @@ how client work is scheduled.
 A round's clients train in lockstep (client_update), which changes no bit,
 and their updates form one matrix in ascending client id.  The median and
 trimmed mean rank client-major copies of it, a cache-sized block of columns
-at a time, ties in client order.
+at a time, ties in client order (_rank): one int64 sort of keys that pack a
+value's high bits above its client id, and a stable argsort of the few rows
+that come out of order.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
@@ -58,6 +60,7 @@ _TAG_DROPOUT = 4
 _TAG_SUBSET = 5
 
 _STACK_ROWS = 256  # rows per stacked gradient call; larger stacks fall out of cache
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -320,42 +323,45 @@ def _as_arrays(updates, weights: Sequence[float]):
     return u, wt, total
 
 
-def _blocks(u: np.ndarray):
+def _ranked_blocks(u: np.ndarray):
     """u's columns in blocks of about 2^15 values: each block's columns, and
-    its client-major (columns, K) copy, small enough to stay in cache."""
+    the order and values _rank gives for its client-major (columns, K) copy,
+    which is small enough to stay in cache."""
     width = max(1, 2**15 // len(u))
     for first in range(0, u.shape[1], width):
         cols = slice(first, first + width)
-        yield cols, np.ascontiguousarray(u[:, cols].T)
+        yield cols, *_rank(np.ascontiguousarray(u[:, cols].T))
 
 
-def _client_order(ut: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """numpy's faster default argsort of each row of a client-major block,
-    repaired in place into argsort(kind="stable"): the clients ranked by
-    ascending value, ties in client order.  Rows where neighbours tie
-    (-0.0 == 0.0; NaNs sort last, as one run) are sorted again on
-    (run << bits) | client.
+def _rank(ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a client-major block in argsort(kind="stable") order, and
+    the values in that order: clients by ascending value, ties in client
+    order (-0.0 == 0.0; NaNs of either sign last, as one run).
+
+    One in-place int64 sort ranks every row.  A key packs the value's high
+    bits above the client id, so equal values come out in client order.
+    Distinct values that differ only in the id's bits can come out of
+    order; only rows whose values then descend are ranked again, by the
+    stable argsort itself.
     """
-    ranked = np.sort(ut, axis=1)
-    same = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
-    rows = np.flatnonzero(same.any(axis=1))
+    k = ut.shape[1]
+    bits = (k - 1).bit_length()
+    key = (ut + 0.0).view(np.int64)  # -0.0 + 0.0 is 0.0
+    sign = key >> 63
+    sign &= _INT64_MAX
+    key ^= sign  # a negative float's low 63 bits flipped: the ints order as the floats do
+    np.copyto(key, _INT64_MAX, where=np.isnan(ut))  # above +inf's key for any k up to 2^51
+    key &= -1 << bits
+    key |= np.arange(k)
+    key.sort(axis=1)
+    order = np.bitwise_and(key, (1 << bits) - 1, out=key)
+    flat = np.add(order, np.arange(0, ut.size, k)[:, None], out=sign)  # each rank's index in ut
+    values = np.take(ut.reshape(-1), flat)
+    rows = np.flatnonzero((values[:, 1:] < values[:, :-1]).any(axis=1))  # NaNs are last already
     if rows.size:
-        bits = (ut.shape[1] - 1).bit_length()
-        key = ranked.view(np.int64)[: rows.size]  # reuse ranked's buffer
-        key[:, 0] = 0
-        np.cumsum(~same[rows], axis=1, out=key[:, 1:])  # each rank's run
-        key <<= bits
-        key |= order[rows]
-        key.sort(axis=1)
-        order[rows] = np.bitwise_and(key, (1 << bits) - 1, out=key)
-    return order
-
-
-def _lower_median(ut: np.ndarray, order: np.ndarray, wt: np.ndarray, total: float) -> np.ndarray:
-    cum = wt[order]
-    np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
-    rows = np.arange(len(ut))
-    return ut[rows, order[rows, (cum >= total / 2).argmax(axis=1)]]
+        order[rows] = np.argsort(ut[rows], axis=1, kind="stable")
+        values[rows] = np.take_along_axis(ut[rows], order[rows], axis=1)
+    return order, values
 
 
 def aggregate_weighted_mean(updates, weights: Sequence[float]) -> np.ndarray:
@@ -368,20 +374,15 @@ def aggregate_weighted_median(updates, weights: Sequence[float]) -> np.ndarray:
 
     Per coordinate: the smallest value whose cumulative weight, over values
     sorted ascending with ties in client order, reaches half the total.
-    With whole-number weights summing below 2^53 every partial sum is exact,
-    so numpy's unstable order crosses half the total in the same run of
-    equal values as the stable one.  Only a run's 0.0, -0.0 and NaN members
-    differ in bits, so only rows whose pick is one of them are repaired.
+    Each block of coordinates is ranked once (_rank), and each row's
+    cumulative weight crosses half the total once.
     """
     u, wt, total = _as_arrays(updates, weights)
-    exact = total < 2**53 and not (wt % 1).any()
     out = np.empty(u.shape[1])
-    for cols, ut in _blocks(u):
-        order = np.argsort(ut, axis=1)
-        pick = _lower_median(ut, order if exact else _client_order(ut, order), wt, total)
-        if exact and (redo := np.flatnonzero((pick == 0) | np.isnan(pick))).size:
-            pick[redo] = _lower_median(ut[redo], _client_order(ut[redo], order[redo]), wt, total)
-        out[cols] = pick
+    for cols, order, values in _ranked_blocks(u):
+        cum = wt[order]
+        np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
+        out[cols] = values[np.arange(len(cum)), (cum >= total / 2).argmax(axis=1)]
     return out
 
 
@@ -390,21 +391,20 @@ def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np
 
     A client straddling a trim boundary keeps only the fraction of its
     weight inside the surviving band, so the trimmed mass is exactly
-    beta * total on each side.  Ranked as in aggregate_weighted_median, with
-    every row in the stable order: the band splits a run's weight by rank.
+    beta * total on each side.  Ranked as in aggregate_weighted_median
+    (_rank), so the band splits a run of equal values by client order.
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
     u, wt, total = _as_arrays(updates, weights)
     lo, hi = beta * total, (1 - beta) * total
     terms = np.empty(u.shape)  # (K, P), summed once down axis 0 one client at a time, not pairwise
-    for cols, ut in _blocks(u):
-        order = _client_order(ut, np.argsort(ut, axis=1))
+    for cols, order, values in _ranked_blocks(u):
         lower = wt[order]  # each client's weight, turned in place into where its band starts
         cum = np.cumsum(lower, axis=1)
         np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
         upper = np.minimum(cum, hi, out=cum)
         surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
-        np.multiply(surviving.T, np.take_along_axis(ut, order, axis=1).T, out=terms[:, cols])
+        np.multiply(surviving.T, values.T, out=terms[:, cols])
     return terms.sum(axis=0) / (total - 2 * beta * total)
 
 

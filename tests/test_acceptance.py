@@ -317,8 +317,9 @@ master = 0
 """
 
 GRID = [
-    (p, a, "none") for p in ("passthrough", "truncate", "ignore") for a in ("mean", "median", "trimmed")
+    (p, a, "none") for p in ("passthrough", "truncate") for a in ("mean", "median", "trimmed")
 ] + [
+    ("ignore", "median", "none"),  # the other ignore cells are read by no criterion
     ("passthrough", "mean", "negation_single"),
     ("passthrough", "median", "negation_single"),
     ("passthrough", "trimmed", "negation_single"),

@@ -522,7 +522,21 @@ def assert_matches_stable_sort(u, weights):
             assert aggregate_trimmed_mean(u, weights, beta).tobytes() == want.tobytes()
 
 
-# K = 1, and K at 2^b and 2^b +- 1, where the tie key's bit width changes
+def near_equal_updates(k: int, p: int, seed: int):
+    """(k, p) updates whose distinct values differ only in their lowest bits,
+    1 + i eps for i below about 2k, of either sign, so that many share all
+    but the client id's bits of the rank key; ±0.0, ±NaN and ±inf mixed in."""
+    rng = np.random.default_rng(seed)
+    u = 1.0 + rng.integers(0, 2 * k + 2, (k, p)) * np.finfo(float).eps
+    u[rng.random((k, p)) < 0.3] *= -1
+    special = rng.random((k, p)) < 0.1
+    u[special] = rng.choice([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], special.sum())
+    weights = rng.integers(0, 4, k) if seed % 2 else rng.random(k)
+    weights[rng.integers(k)] = 1
+    return u, weights
+
+
+# K = 1, and K at 2^b and 2^b +- 1, where the rank key's bit width changes
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257])
 def test_robust_aggregators_match_stable_sort_bytes(k):
     for seed in range(6):
@@ -530,6 +544,14 @@ def test_robust_aggregators_match_stable_sort_bytes(k):
         # -0.0 and 0.0 tie, and NaNs tie, in whole columns
         signed = np.random.default_rng(seed).choice([0.0, -0.0, np.nan], (k, 3))
         assert_matches_stable_sort(signed, np.arange(1, k + 1) % 3)
+        assert_matches_stable_sort(*near_equal_updates(k, 7, seed))
+
+
+# K = 2 000 puts 16 columns in a block, K = 2^15 + 3 one
+@pytest.mark.parametrize("k, p", [(2000, 40), (2**15 + 3, 3)])
+def test_robust_aggregators_match_stable_sort_bytes_on_near_equal_values(k, p):
+    for seed in range(2):
+        assert_matches_stable_sort(*near_equal_updates(k, p, seed))
 
 
 @pytest.mark.parametrize("k, p", [(2000, 210), (100, 2014)])
@@ -554,52 +576,59 @@ def zero_and_nan_runs(k: int, p: int, seed: int, fill: float):
     return u, rng.integers(0, 3, k)
 
 
-def spy_client_order(monkeypatch) -> list:
-    """Record how many rows each _client_order call repairs."""
-    ranked, client_order = [], engine._client_order
-
-    def spy(ut, order):
-        ranked.append(len(ut))
-        return client_order(ut, order)
-
-    monkeypatch.setattr(engine, "_client_order", spy)
-    return ranked
-
-
 @pytest.mark.parametrize("k", [7, 100, 2000])
 @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["signed_zero", "nan"])
-def test_exact_weight_median_ranks_only_zero_and_nan_picks(monkeypatch, k, fill):
-    # whole-number weights: numpy's unstable order picks from the right run,
-    # and only rows whose pick is 0.0, -0.0 or NaN are repaired and crossed again
-    ranked = spy_client_order(monkeypatch)
+def test_exact_weight_median_ranks_only_zero_and_nan_picks(k, fill):
+    # whole-number weights, and a lower median in a run of 0.0 and -0.0, or of NaNs of both signs
     for seed in range(4):
         u, weights = zero_and_nan_runs(k, 40, seed, fill)
         clean = np.random.default_rng(seed).standard_normal((k, 40))
         for w in (weights, weights * 3.0):  # int64, and whole-number floats
             assert aggregate_weighted_median(u, w).tobytes() == stable_weighted_median(u, w).tobytes()
             assert aggregate_weighted_median(clean, w).tobytes() == stable_weighted_median(clean, w).tobytes()
-    assert 0 < sum(ranked) <= 4 * 2 * 40  # only the run's rows, once per call
-    ranked.clear()
-    aggregate_weighted_median(np.random.default_rng(0).standard_normal((k, 40)), np.arange(k) % 3)
-    assert ranked == []
 
 
-def test_median_above_2_53_takes_the_full_repair(monkeypatch):
-    # partial sums past 2^53 round, so the order within a run can move the
-    # crossing: every row is repaired, as for float weights
-    ranked = spy_client_order(monkeypatch)
+def test_median_above_2_53_matches_stable_sort():
+    # partial sums past 2^53 round, so the order within a run can move the crossing
     rng = np.random.default_rng(5)
     u = rng.integers(-2, 3, (300, 20)) + 0.5  # long runs of equal values, no zeros
     for weights in ([2**53] + [1, 2] * 149 + [3], [2**52] * 2 + [1, 3] * 149):
         assert sum(weights) > 2**53
         got = aggregate_weighted_median(u, weights)
         assert got.tobytes() == stable_weighted_median(u, weights).tobytes()
-    assert ranked == [20, 20]
-    ranked.clear()
-    aggregate_weighted_median(u, rng.random(300))  # float weights: every row too
-    aggregate_weighted_median(u, np.full(300, 0.5))
-    aggregate_weighted_median(u, [2**52] + [1] * 299)  # exact below 2^53: none
-    assert ranked == [20, 20]
+
+
+def test_rank_resorts_exactly_the_rows_out_of_order(monkeypatch):
+    # one block; the columns of u are the rows _rank sees
+    k, eps = 300, np.finfo(float).eps
+    rng = np.random.default_rng(4)
+    ids = np.arange(k)
+    u = np.stack([
+        1.0 + (k - 1 - ids) * eps,  # one rank-key run, descending in client order: re-sorted
+        -(1.0 + ids * eps),  # the same, negative
+        1.0 + ids * eps,  # one run, already ascending: kept
+        rng.standard_normal(k),
+        rng.integers(-2, 3, k) + 0.0,  # ties
+        rng.choice([0.0, -0.0, np.nan, -np.nan], k),
+        rng.choice([np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0], k),
+        np.where(ids % 2, 1.0 + (k - ids) * eps, -np.nan),  # out of order, NaNs among them
+    ], axis=1)
+    weights = rng.integers(0, 4, k)
+    want = stable_weighted_median(u, weights)
+    resorted, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        resorted.append(a.copy())
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    assert aggregate_weighted_median(u, weights).tobytes() == want.tobytes()
+    assert np.concatenate(resorted).tobytes() == u.T[[0, 1, 7]].tobytes()
+    resorted.clear()
+    clean = np.random.default_rng(2000).standard_normal((2000, 210))
+    aggregate_weighted_median(clean, np.ones(2000))
+    aggregate_trimmed_mean(clean, np.ones(2000), 0.1)
+    assert resorted == []
 
 
 def test_robust_aggregators_with_blocks_of_one_column():
@@ -628,11 +657,12 @@ def test_trimmed_mean_sums_the_full_width_once():
             assert aggregate_trimmed_mean(u, weights, beta).tobytes() == want.tobytes()
 
 
-def test_client_order_is_stable_argsort():
-    u = np.array([[0.0, 2.0], [-0.0, np.nan], [1.0, 2.0], [0.0, np.nan], [-1.0, -np.inf]])
+def test_rank_is_stable_argsort():
+    u = np.array([[0.0, 2.0], [-0.0, np.nan], [1.0, 2.0], [0.0, -np.nan], [-1.0, -np.inf]])
     ut = np.ascontiguousarray(u.T)
-    order = engine._client_order(ut, np.argsort(ut, axis=1))
+    order, values = engine._rank(ut)
     assert order.tolist() == [[4, 0, 1, 3, 2], [4, 0, 2, 1, 3]]
+    assert values.tobytes() == np.take_along_axis(ut, order, axis=1).tobytes()
     # the lower median of 0.0, -0.0, 0.0 is the second in client order
     assert np.signbit(aggregate_weighted_median([[0.0], [-0.0], [0.0]], [1, 1, 1])[0])
 
