@@ -8,36 +8,40 @@ labels.  All randomness is drawn from streams keyed on
 (master_seed, purpose, round, client), so results are bit-identical no matter
 how client work is scheduled.
 
-A round's clients train in lockstep (client_update), which changes no bit,
-and their updates form one matrix in ascending client id.  The median and
-trimmed mean rank client-major copies of it, a cache-sized block of columns
-at a time, ties in client order (_rank): one int64 sort of keys that pack a
-value's high bits above its client id, and a stable argsort of the few rows
-that come out of order.
+run_training trains runs that differ only in preprocess mode and aggregator
+in lockstep: a round's selection, shuffles and batch schedule (round_plan)
+are built once, and each distinct model trains once (client_update, whose
+clients step in lockstep too, which changes no bit) into one matrix in
+ascending client id.  The median and trimmed mean rank client-major copies
+of it, a cache-sized block of columns at a time, ties in client order
+(_rank): one int64 sort of keys that pack a value's high bits above its
+client id, and a stable argsort of the few rows that come out of order.
+The ranking reads no weight, so runs of one aggregator kind share it.
 
 A stream is built only where something is drawn from it: the init stream
-once per run; the select stream in a round where only some clients take
-part; the subset stream once per run for each client that trains on fewer
-rows than it holds (keyed on the client alone); and per (round, training
-client) the shuffle stream when it trains on more than one row, and the
-dropout stream when the model has a positive dropout_rate.  Each purpose has
-its own tag, so a stream left unbuilt changes no other draw.  A round's
-shuffle streams are seeded in one batch (streams), drawing the same numbers.
-Runs that share a run_training memo build the init, subset and round-1
-streams once between them.
+once per row group; the select stream in a round where only some clients
+take part; the subset stream once per row group for each client that trains
+on fewer rows than it holds (keyed on the client alone); and per (round,
+training client) the shuffle stream when it trains on more than one row,
+and per distinct model the dropout stream when dropout_rate > 0.  Each
+purpose has its own tag, so a stream left unbuilt changes no other draw.
+A round's shuffle streams are seeded in one batch (streams), drawing the
+same numbers.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .tasks import Dataset, accuracy
-from .weights import PreprocessMode, preprocess
+from .weights import PreprocessInfeasible, PreprocessMode, preprocess
 
 
 class EmptyClientData(ValueError):
@@ -61,6 +65,9 @@ _TAG_SUBSET = 5
 
 _STACK_ROWS = 256  # rows per stacked gradient call; larger stacks fall out of cache
 _INT64_MAX = np.iinfo(np.int64).max
+# round_plan's stream key, clients, row counts, stacked calls (clients, lanes, scales), and
+# each epoch's rows of each call
+RoundPlan = namedtuple("RoundPlan", "seed round ids n stacks windows")
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -240,39 +247,17 @@ def _row_pool(rows: Sequence[Dataset]) -> tuple[Dataset, np.ndarray, np.ndarray]
     return pool, np.cumsum(count) - count, count
 
 
-def client_update(
-    model, w: np.ndarray, ids: np.ndarray, pool: Dataset, offset: np.ndarray,
-    n: np.ndarray, cfg: TrainConfig, round_index: int, updates: np.ndarray,
-) -> np.ndarray:
-    """One round of local work, written into updates (len(ids), P): row i is
-    client ids[i]'s update, which trains on the n[i] pool rows from offset[i].
-
-    A client with no rows (a model-negation attacker) sends -w.  Every other
-    client runs cfg.epochs passes of mini-batch SGD from w over its rows; a
-    short final batch of r samples steps with its gradient scaled by
-    r/batch_size, so every sample contributes 1/batch_size of its gradient
-    once per epoch.
-
-    The clients step in lockstep, and at each step the batches of equal
-    length share stacked model.gradient calls.  No bit can change: each
-    client keeps its own parameters, rows and streams, steps by the same
-    float eta * (r / batch_size), and a stacked product computes each
-    slice as a call on that slice alone.  Streams keyed on (round, client),
-    drawn in the client's batch order: shuffle, one permutation per epoch,
-    for more than one row; dropout, one mask per batch, if dropout_rate > 0.
-    """
-    updates[:] = w
-    updates[n == 0] = -w
-    if not n.any():
-        return updates
+def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
+               round_index: int) -> RoundPlan:
+    """What a round's local work reads besides the model, where client ids[i]
+    trains on the n[i] pool rows from offset[i]: one shuffle per epoch for
+    each client of more than one row, and the batches sorted by (step,
+    length, client), equal steps and lengths stacked up to _STACK_ROWS rows."""
     b = cfg.batch_size
     b = np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
     many = n > 1
     shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
     perms = [[rng.permutation(k) for _ in range(cfg.epochs)] for rng, k in shuffles]
-    drops = getattr(model, "dropout_rate", 0) > 0
-    dropout = drops and [stream(cfg.master_seed, _TAG_DROPOUT, round_index, i) if k else None
-                         for k, i in zip(n.tolist(), ids.tolist())]
     # the schedule: each batch as (client, start, length), sorted by (step, length, client);
     # start counts rows in the round's order, client by client
     steps = -(-n // b)
@@ -282,55 +267,87 @@ def client_update(
     order = np.lexsort((lane, length, step))
     lane, step, length = lane[order], step[order], length[order]
     start, scale = (np.cumsum(n) - n)[lane] + step * b[lane], cfg.eta * (length / b[lane])
-    cuts = (np.flatnonzero((np.diff(step) != 0) | (np.diff(length) != 0)) + 1).tolist()
-    stacks = []  # (first, end, batch length) in the sorted schedule
-    for lo, hi in zip([0, *cuts], [*cuts, lane.size]):
+    firsts = np.flatnonzero((np.diff(step, prepend=-1) != 0) | (np.diff(length, prepend=-1) != 0))
+    bounds = []  # (first, end, batch length) in the sorted schedule
+    for lo, hi in zip(firsts.tolist(), [*firsts[1:].tolist(), lane.size]):
         per = max(1, _STACK_ROWS // int(length[lo]))
-        stacks += [(k, min(k + per, hi), int(length[lo])) for k in range(lo, hi, per)]
+        bounds += [(k, min(k + per, hi), int(length[lo])) for k in range(lo, hi, per)]
+    stacks = [(slice(lane[lo], lane[lo] + 1) if hi - lo == 1 else lane[lo:hi], lane[lo:hi],
+               scale[lo:hi, None]) for lo, hi, _ in bounds]
+    windows = []
     for epoch in range(cfg.epochs):
         index = np.repeat(offset, n)  # the round's rows in the pool; a one-row client stays put
         if perms:
             index[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
-        for lo, hi, size in stacks:
+        windows.append([index[start[lo:hi, None] + np.arange(size)] for lo, hi, size in bounds])
+    return RoundPlan(cfg.master_seed, round_index, ids, n, stacks, windows)
+
+
+def client_update(model, w: np.ndarray, plan: RoundPlan, pool: Dataset,
+                  updates: np.ndarray) -> np.ndarray:
+    """One round of local work from w, written into updates (len(plan.ids),
+    P): row i is client plan.ids[i]'s update, on its pool rows in plan's order.
+
+    A client with no rows (a model-negation attacker) sends -w.  Every other
+    client runs epochs passes of mini-batch SGD from w over its rows; a
+    short final batch of r samples steps with its gradient scaled by
+    r/batch_size, so every sample contributes 1/batch_size of its gradient
+    once per epoch.
+
+    Batches of equal length share stacked model.gradient calls, which
+    changes no bit: each client keeps its own parameters, rows and streams,
+    steps by the same float eta * (r / batch_size), and a stacked product
+    computes each slice as a call on that slice alone.  Dropout masks come
+    from streams keyed on (round, client), built anew in each call.
+    """
+    updates[:] = w
+    updates[plan.n == 0] = -w
+    drops = getattr(model, "dropout_rate", 0) > 0
+    dropout = drops and [stream(plan.seed, _TAG_DROPOUT, plan.round, i) if k else None
+                         for k, i in zip(plan.n.tolist(), plan.ids.tolist())]
+    for windows in plan.windows:
+        for (who, lanes, scale), window in zip(plan.stacks, windows):
             # one client's parameters are a view; several are gathered once and scattered back
-            who = slice(lane[lo], lane[lo] + 1) if hi - lo == 1 else lane[lo:hi]
             params = updates[who]
-            rngs = [dropout[i] for i in lane[lo:hi]] if drops else None
-            rows = pool.subset(index[start[lo:hi, None] + np.arange(size)])
-            grad = model.gradient(params, rows, rngs)
-            grad *= scale[lo:hi, None]  # f * g == g * f bit for bit
+            rngs = [dropout[i] for i in lanes] if drops else None
+            grad = model.gradient(params, pool.subset(window), rngs)
+            grad *= scale  # f * g == g * f bit for bit
             params -= grad
-            if hi - lo > 1:
+            if not isinstance(who, slice):
                 updates[who] = params
     return updates
 
 
-def _as_arrays(updates, weights: Sequence[float]):
-    # updates: the round's (n, P) matrix, read as it is, or n parameter vectors
+def _as_arrays(updates, weights):
+    # the round's (n, P) matrix, read as it is, or n vectors; n weights or a (C, n) stack
     u = np.asarray(updates, dtype=float)
-    if u.ndim != 2 or len(u) == 0 or len(u) != len(weights):
-        raise ValueError("need equally many updates and weights, at least one")
     try:
         wt = np.asarray(weights, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise ValueError("weights must be finite and non-negative") from None
+    if u.ndim != 2 or len(u) == 0 or wt.ndim not in (1, 2) or wt.shape[-1] != len(u):
+        raise ValueError("need equally many updates and weights, at least one")
+    rows = np.atleast_2d(wt)
     with np.errstate(all="ignore"):
-        total = wt.sum()
-    if not (np.isfinite(total) and (wt >= 0).all()):  # a finite total has finite terms
+        total = rows.sum(axis=1)
+    if not (np.isfinite(total).all() and (rows >= 0).all()):  # a finite total has finite terms
         raise ValueError("weights must be finite and non-negative")
-    if total <= 0:
+    if (total <= 0).any():
         raise WeightSumZero("total aggregation weight is zero")
-    return u, wt, total
+    return u, rows, total, wt.ndim == 1
 
 
-def _ranked_blocks(u: np.ndarray):
+def _ranked_blocks(u: np.ndarray, kept=None):
     """u's columns in blocks of about 2^15 values: each block's columns, and
     the order and values _rank gives for its client-major (columns, K) copy,
-    which is small enough to stay in cache."""
+    which is small enough to stay in cache; given kept, the orders of an
+    earlier pass, each block's values are read in its kept order instead."""
     width = max(1, 2**15 // len(u))
-    for first in range(0, u.shape[1], width):
+    for i, first in enumerate(range(0, u.shape[1], width)):
         cols = slice(first, first + width)
-        yield cols, *_rank(np.ascontiguousarray(u[:, cols].T))
+        ut = np.ascontiguousarray(u[:, cols].T)
+        yield cols, *(_rank(ut) if kept is None else (
+            kept[i], np.take(ut.reshape(-1), kept[i] + np.arange(0, ut.size, len(u))[:, None])))
 
 
 def _rank(ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,58 +374,68 @@ def _rank(ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.bitwise_and(key, (1 << bits) - 1, out=key)
     flat = np.add(order, np.arange(0, ut.size, k)[:, None], out=sign)  # each rank's index in ut
     values = np.take(ut.reshape(-1), flat)
-    rows = np.flatnonzero((values[:, 1:] < values[:, :-1]).any(axis=1))  # NaNs are last already
-    if rows.size:
+    bad = values[:, 1:] < values[:, :-1]  # NaNs are last already
+    if bad.any():
+        rows = np.unique(np.flatnonzero(bad) // (k - 1))
         order[rows] = np.argsort(ut[rows], axis=1, kind="stable")
         values[rows] = np.take_along_axis(ut[rows], order[rows], axis=1)
     return order, values
 
 
-def aggregate_weighted_mean(updates, weights: Sequence[float]) -> np.ndarray:
-    u, wt, total = _as_arrays(updates, weights)
-    return (wt[:, None] * u).sum(axis=0) / total
+def aggregate_weighted_mean(updates, weights) -> np.ndarray:
+    """The weighted mean; a (C, K) stack of weight rows gives a (C, P) stack."""
+    u, wt, total, one = _as_arrays(updates, weights)
+    out = np.stack([(row[:, None] * u).sum(axis=0) / t for row, t in zip(wt, total)])
+    return out[0] if one else out
 
 
-def aggregate_weighted_median(updates, weights: Sequence[float]) -> np.ndarray:
+def aggregate_weighted_median(updates, weights) -> np.ndarray:
     """Coordinatewise weighted lower median.
 
     Per coordinate: the smallest value whose cumulative weight, over values
     sorted ascending with ties in client order, reaches half the total.
     Each block of coordinates is ranked once (_rank), and each row's
-    cumulative weight crosses half the total once.
+    cumulative weight crosses half the total once.  A (C, K) stack of weight
+    rows shares the ranking, and each row's median has the bytes of its own.
     """
-    u, wt, total = _as_arrays(updates, weights)
-    out = np.empty(u.shape[1])
+    u, wt, total, one = _as_arrays(updates, weights)
+    out = np.empty((len(wt), u.shape[1]))
     for cols, order, values in _ranked_blocks(u):
-        cum = wt[order]
-        np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
-        out[cols] = values[np.arange(len(cum)), (cum >= total / 2).argmax(axis=1)]
-    return out
+        for median, row, half in zip(out, wt, total / 2):
+            cum = row[order]
+            np.cumsum(cum, axis=1, out=cum)  # sequential, so row-wise changes no bit
+            median[cols] = values[np.arange(len(cum)), (cum >= half).argmax(axis=1)]
+    return out[0] if one else out
 
 
-def aggregate_trimmed_mean(updates, weights: Sequence[float], beta: float) -> np.ndarray:
+def aggregate_trimmed_mean(updates, weights, beta: float) -> np.ndarray:
     """Coordinatewise mean after trimming beta of the weight mass per tail.
 
     A client straddling a trim boundary keeps only the fraction of its
     weight inside the surviving band, so the trimmed mass is exactly
     beta * total on each side.  Ranked as in aggregate_weighted_median
-    (_rank), so the band splits a run of equal values by client order.
+    (_rank), so the band splits a run of equal values by client order.  In
+    a (C, K) stack of weight rows, later rows reuse the first's ranking.
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
-    u, wt, total = _as_arrays(updates, weights)
-    lo, hi = beta * total, (1 - beta) * total
+    u, wt, total, one = _as_arrays(updates, weights)
     terms = np.empty(u.shape)  # (K, P), summed once down axis 0 one client at a time, not pairwise
-    for cols, order, values in _ranked_blocks(u):
-        lower = wt[order]  # each client's weight, turned in place into where its band starts
-        cum = np.cumsum(lower, axis=1)
-        np.maximum(np.subtract(cum, lower, out=lower), lo, out=lower)
-        upper = np.minimum(cum, hi, out=cum)
-        surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
-        np.multiply(surviving.T, values.T, out=terms[:, cols])
-    return terms.sum(axis=0) / (total - 2 * beta * total)
+    out, kept = np.empty((len(wt), u.shape[1])), []
+    for c, (row, t) in enumerate(zip(wt, total)):
+        for cols, order, values in _ranked_blocks(u, kept if c else None):
+            if c == 0 and len(wt) > 1:  # later rows read the values again in this order
+                kept.append(order.astype(np.int32))
+            lower = row[order]  # each client's weight, turned in place into where its band starts
+            cum = np.cumsum(lower, axis=1)
+            np.maximum(np.subtract(cum, lower, out=lower), beta * t, out=lower)
+            upper = np.minimum(cum, (1 - beta) * t, out=cum)
+            surviving = np.clip(np.subtract(upper, lower, out=upper), 0.0, None, out=upper)
+            np.multiply(surviving.T, values.T, out=terms[:, cols])
+        out[c] = terms.sum(axis=0) / (t - 2 * beta * t)
+    return out[0] if one else out
 
 
-def aggregate(kind: Aggregator, updates, weights: Sequence[float]) -> np.ndarray:
+def aggregate(kind: Aggregator, updates, weights) -> np.ndarray:
     if isinstance(kind, WeightedMean):
         return aggregate_weighted_mean(updates, weights)
     if isinstance(kind, WeightedMedian):
@@ -462,50 +489,58 @@ def _norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w * scale)) / scale  # a norm beyond the float range is inf
 
 
-def run_training(
-    model,
-    clients: Sequence[ClientSpec],
-    testset: Dataset,
-    cfg: TrainConfig,
-    memo: Optional[dict] = None,
-) -> tuple[np.ndarray, list[RoundMetrics]]:
-    """The full training loop; returns final parameters and per-round metrics.
+def run_training(model, clients: Sequence[ClientSpec], testset: Dataset,
+                 cfgs: Sequence[TrainConfig]) -> list[tuple[Optional[np.ndarray], list]]:
+    """Train one model per config on the same clients, in lockstep; returns
+    each config's final parameters and per-round metrics, or (None, []) when
+    its preprocess mode is infeasible.
 
-    Declared sizes become one weight per client id.  The training rows are
-    pooled, and the initial model and round 1's (m, P) updates computed, once
-    per key of memo, which runs of the same clients, model and config but for
-    preprocess mode and aggregator may share: the key is the weights, which
-    fix the rows, or none under honest_use_all_samples.  From round 2,
-    client_update writes the selected clients' updates into the run's own
-    matrix in ascending client id, which the aggregator reads.  A non-finite
-    aggregate ends the run with a NaN accuracy and loss record.
+    Configs equal but for preprocess mode, aggregator and rounds whose weights
+    allow the same rows (always, under honest_use_all_samples) form a row
+    group: one row pool and initial model, and per round one selection and
+    round_plan.  Its models that are byte-equal at a round's start train once
+    into one (m, P) matrix, which each aggregator kind reads once for the
+    stack of their weight rows.  A non-finite aggregate ends a run on NaN metrics.
     """
     clients = sorted(clients, key=lambda c: c.id)
     if [c.id for c in clients] != list(range(len(clients))):
         raise ValueError("client ids must be distinct and 0..K-1")
-    weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
-
-    memo = {} if memo is None else memo
-    key = None if cfg.honest_use_all_samples else tuple(weight)
-    if key not in memo:
-        pool, offset, n = _row_pool([_training_rows(model, c, cfg, weight[c.id]) for c in clients])
-        w = model.init_params(stream(cfg.master_seed, _TAG_INIT))
-        at = np.array(select_clients(1, len(clients), cfg.clients_per_round, cfg.master_seed))
-        first = client_update(model, w, at, pool, offset[at], n[at], cfg, 1,
-                              np.empty((len(at), len(w)))) if cfg.rounds else None
-        memo[key] = (pool, offset, n), w, at, first
-    (pool, offset, n), w, at, first = memo[key]  # round 1's matrix is read as it is, never copied
-    updates = np.empty_like(first) if cfg.rounds > 1 else None
-    metrics: list[RoundMetrics] = []
-    for t in range(1, cfg.rounds + 1):
-        if t > 1:
-            at = np.array(select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed))
-            client_update(model, w, at, pool, offset[at], n[at], cfg, t, updates)
-        w = aggregate(cfg.aggregator, updates if t > 1 else first,
-                      [weight[cid] for cid in at.tolist()])
-        norm = _norm(w)
-        if not np.all(np.isfinite(w)):
-            metrics.append(RoundMetrics(t, math.nan, math.nan, norm))
-            break
-        metrics.append(RoundMetrics(t, accuracy(model, w, testset), model.loss(w, testset), norm))
-    return w, metrics
+    declared, sizes = [c.declared_size for c in clients], [len(c.data) for c in clients]
+    groups, cells = {}, []  # row group: (pool, offset, n), initial model, config
+    for cfg in cfgs:
+        cells.append(cell := SimpleNamespace(cfg=cfg, w=None, metrics=[]))
+        try:
+            cell.weight = preprocess(declared, cfg.preprocess)
+        except PreprocessInfeasible:
+            continue  # the run never starts
+        rows = cfg.honest_use_all_samples or np.array([*map(min, cell.weight, sizes)]).tobytes()
+        cell.group = repr(replace(cfg, rounds=0, preprocess=None, aggregator=None)), rows
+        if cell.group not in groups:
+            pool = _row_pool([_training_rows(model, c, cfg, cell.weight[c.id]) for c in clients])
+            groups[cell.group] = pool, model.init_params(stream(cfg.master_seed, _TAG_INIT)), cfg
+        cell.w = groups[cell.group][1]
+    live = [c for c in cells if c.w is not None]
+    for t in range(1, max((c.cfg.rounds for c in live), default=0) + 1):
+        live = [c for c in live if t <= c.cfg.rounds]
+        plans, runs = {}, {}  # runs: (row group, model bytes) -> model, cells by aggregator
+        for c in live:
+            _, kinds = runs.setdefault((c.group, c.w.tobytes()), (c.w, {}))
+            kinds.setdefault(c.cfg.aggregator, []).append(c)
+        for (group, _), (w, kinds) in runs.items():
+            (pool, offset, n), _, cfg = groups[group]
+            if group not in plans:  # a round's selection, plan and (m, P) updates matrix
+                at = np.array(select_clients(t, len(n), cfg.clients_per_round, cfg.master_seed))
+                plan = round_plan(at, offset[at], n[at], cfg, t)
+                plans[group] = at.tolist(), plan, np.empty((len(at), len(w)))
+            at, plan, updates = plans[group]
+            client_update(model, w, plan, pool, updates)
+            for kind, same in kinds.items():
+                stack = aggregate(kind, updates, [[c.weight[i] for i in at] for c in same])
+                for c, aggregated in zip(same, stack):
+                    c.w = aggregated
+        for c in live:
+            ok = np.all(np.isfinite(c.w))  # else the run ends on a NaN accuracy and loss
+            c.metrics.append(RoundMetrics(t, accuracy(model, c.w, testset) if ok else math.nan,
+                                          model.loss(c.w, testset) if ok else math.nan, _norm(c.w)))
+        live = [c for c in live if np.all(np.isfinite(c.w))]
+    return [(c.w, c.metrics) for c in cells]

@@ -6,8 +6,8 @@ between their metric files comes from the cell axes alone.  The task, and
 each scenario's clients, are built once per grid and handed to every cell;
 a cell draws only from its own seeded streams, which keeps parallel runs
 byte-identical to sequential ones.  In this process, the cells of a
-scenario also share the row pool, initial model and round 1 they would
-each compute alike.
+scenario train as one lockstep group (run_training), which shares what
+they compute alike and changes no byte of any cell.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .engine import ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
 from .tasks import generate_blobs, generate_partition, split_by_sizes
-from .weights import PreprocessInfeasible
 
 # seed tags for task construction; the engine owns tags 1..5
 _TAG_TRAIN_DATA = 101
@@ -87,19 +86,16 @@ class CellResult:
         return self.metrics[-1].test_accuracy if self.metrics else math.nan
 
 
-def run_cell(
-    cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str, attack: str,
-    memo: dict | None = None,
-) -> CellResult:
+def run_cell(cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str,
+             attack: str) -> CellResult:
     """Train one cell on build_clients(cfg, attack, shards) and the test set
-    of the task that build_task(cfg) returned, sharing memo with this
-    scenario's other cells."""
-    train_cfg = cfg.train_config(preprocess, aggregator)
-    try:
-        _, metrics = run_training(cfg.model(), clients, test, train_cfg, memo)
-    except PreprocessInfeasible:
-        metrics = ()  # the cell is unrunnable, not the experiment: record it as empty
-    return CellResult(preprocess, aggregator, attack, tuple(metrics))
+    of the task that build_task(cfg) returned: a lockstep group of one."""
+    return _run_scenario(cfg, clients, test, [(preprocess, aggregator, attack)])[0]
+
+
+def _run_scenario(cfg: ExperimentConfig, clients, test, cells) -> list[CellResult]:
+    runs = run_training(cfg.model(), clients, test, [cfg.train_config(p, a) for p, a, _ in cells])
+    return [CellResult(p, a, s, tuple(metrics)) for (p, a, s), (_, metrics) in zip(cells, runs)]
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[tuple[str, str, str]]:
@@ -145,21 +141,19 @@ def run_cells(cfg: ExperimentConfig, clients, test, cells, jobs: int = 1) -> lis
     in the order of cells.
 
     jobs > 1 forks min(jobs, cells) pool workers, which get clients and test
-    once, run one BLAS thread and one cell a task.  jobs = 1 keeps this
-    process's BLAS setting and runs each scenario's cells back to back on one
-    run_training memo, dropped before the next scenario's cells run.
+    once, run one BLAS thread and one cell a task, a lockstep group of one.
+    jobs = 1 keeps this process's BLAS setting and trains each scenario's
+    cells as one lockstep group, in one run_training call.
     """
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(clients, test)) as ex:
             return list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
-    results = [None] * len(cells)
+    results = {}
     for scenario in dict.fromkeys(s for _, _, s in cells):
-        memo = {}
-        for i, (p, a, s) in enumerate(cells):
-            if s == scenario:
-                results[i] = run_cell(cfg, clients[s], test, p, a, s, memo)
-    return results
+        at = [i for i, cell in enumerate(cells) if cell[2] == scenario]
+        results.update(zip(at, _run_scenario(cfg, clients[scenario], test, [cells[i] for i in at])))
+    return [results[i] for i in range(len(cells))]
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[CellResult]:

@@ -396,14 +396,17 @@ def test_run_cell_trains_what_the_config_builds(monkeypatch):
     shards, test = build_task(cfg)
     seen = []
 
-    def spy(model, clients, test_set, train_cfg, memo):
-        seen.append((model, train_cfg))
-        return None, []
+    def spy(model, clients, test_set, train_cfgs):
+        seen.append((model, clients, test_set, train_cfgs))
+        return [(None, [])]
 
     monkeypatch.setattr(experiment, "run_training", spy)
     for p, a, s in grid_cells(cfg):
-        run_cell(cfg, build_clients(cfg, s, shards), test, p, a, s)
-        assert seen.pop() == (cfg.model(), cfg.train_config(p, a))
+        clients = build_clients(cfg, s, shards)
+        assert run_cell(cfg, clients, test, p, a, s) == experiment.CellResult(p, a, s, ())
+        model, got_clients, got_test, train_cfgs = seen.pop()
+        assert (model, train_cfgs) == (cfg.model(), [cfg.train_config(p, a)])  # a group of one
+        assert got_clients is clients and got_test is test
 
 
 def test_run_grid_writes_every_cell(tmp_path):
@@ -421,25 +424,31 @@ def test_run_grid_writes_every_cell(tmp_path):
 
 
 def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
-    # at --jobs 1 a scenario's cells start from one row pool and one model, so
-    # only its first cell runs round 1's local training
+    # at --jobs 1 a scenario's cells train as one lockstep group: they start
+    # from one row pool and one model, so round 1's local training runs once
+    # a scenario, and a later round's once for each distinct model
     cfg = parse_config(SMALL)
-    calls, scenario, update, run = [], [], engine.client_update, experiment.run_cell
+    calls, groups, update, train = [], [], engine.client_update, experiment.run_training
 
-    def run_spy(*args):
-        scenario.append(args[5])  # run_cell(cfg, clients, test, preprocess, aggregator, attack, ...)
-        return run(*args)
+    def train_spy(model, clients, test, train_cfgs):
+        groups.append(len(train_cfgs))
+        return train(model, clients, test, train_cfgs)
 
-    def update_spy(*args):
-        calls.append(scenario[-1])
-        return update(*args)
+    def update_spy(model, w, plan, *rest):
+        calls.append((cfg.scenarios[len(groups) - 1], plan.round, w.tobytes()))
+        return update(model, w, plan, *rest)
 
-    monkeypatch.setattr(experiment, "run_cell", run_spy)
+    monkeypatch.setattr(experiment, "run_training", train_spy)
     monkeypatch.setattr(engine, "client_update", update_spy)
     run_grid(cfg, out_dir=str(tmp_path), jobs=1)
     cells = len(cfg.preprocess_modes) * len(cfg.aggregator_kinds)
-    assert {s: calls.count(s) for s in cfg.scenarios} == {
-        s: cfg.rounds * cells - (cells - 1) for s in cfg.scenarios}
+    assert groups == [cells] * len(cfg.scenarios)  # one group a scenario, scenarios in order
+    assert len(set(calls)) == len(calls)  # no model trains twice in a round
+    rounds = [[t for s, t, _ in calls if s == scenario] for scenario in cfg.scenarios]
+    assert [r.count(1) for r in rounds] == [1] * len(cfg.scenarios)
+    assert all(0 < r.count(t) <= cells for r in rounds for t in range(2, cfg.rounds + 1))
+    # two cells that reach one model share its later rounds too: fewer calls than cells
+    assert sum(map(len, rounds)) < len(cfg.scenarios) * (cfg.rounds * cells - (cells - 1))
 
 
 def test_in_process_cells_equal_cells_run_alone():
@@ -458,6 +467,90 @@ def test_in_process_cells_equal_cells_run_alone():
         alone = run_cell(cfg, clients[s], test, p, a, s)
         assert len(r.metrics) == cfg.rounds
         assert metrics_to_csv(r.metrics) == metrics_to_csv(alone.metrics)
+
+
+LOCKSTEP = """
+[task]
+dim = 6
+classes = 3
+train_samples = 400
+test_samples = 150
+clients = 8
+
+[model]
+kind = mlp
+hidden = 5
+dropout = 0.2
+
+[training]
+rounds = 8
+eta = 1.0
+batch_size = 16
+clients_per_round = 0.75
+
+[preprocess]
+alpha = 1/2
+alpha_star = 1/4
+
+[attack]
+scenarios = none,negation_fraction
+declared_fraction = {lie}
+
+[seeds]
+master = 3
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_lockstep_cells_equal_cells_run_alone(monkeypatch):
+    # an MLP that drops units; truncate at alpha* < alpha is infeasible; the one
+    # attacker declares about 1.7e308, so passthrough x mean overflows to inf in
+    # round 1 and passthrough x trimmed in round 6 of 8.  Each round trains once
+    # per distinct model and ranks once per distinct (matrix, robust kind).
+    cfg = parse_config(LOCKSTEP.format(lie=17 * 10**307))
+    shards, test = build_task(cfg)
+    clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
+    cells = grid_cells(cfg)
+    update, train = engine.client_update, experiment.run_training
+    where, starts, ranked = [None, None], [], []  # where: (cell or scenario, last start)
+
+    def update_spy(model, w, plan, *rest):
+        where[1] = plan.round, w.tobytes()
+        starts.append((where[0], *where[1]))
+        return update(model, w, plan, *rest)
+
+    def rank_spy(kind, fn):
+        return lambda *args: ranked.append((where[0], *where[1], kind)) or fn(*args)
+
+    monkeypatch.setattr(engine, "client_update", update_spy)
+    for kind in ("aggregate_weighted_median", "aggregate_trimmed_mean"):
+        monkeypatch.setattr(engine, kind, rank_spy(kind, getattr(engine, kind)))
+    alone = {}
+    for p, a, s in cells:
+        where[0] = (p, a, s)
+        alone[p, a, s] = run_cell(cfg, clients[s], test, p, a, s)
+    alone_starts, alone_ranked = starts[:], ranked[:]
+    starts.clear(), ranked.clear()
+
+    def train_spy(model, scenario_clients, test_set, train_cfgs):
+        where[0] = next(s for s in cfg.scenarios if clients[s] is scenario_clients)
+        return train(model, scenario_clients, test_set, train_cfgs)
+
+    monkeypatch.setattr(experiment, "run_training", train_spy)
+    results = experiment.run_cells(cfg, clients, test, cells, jobs=1)
+    assert [(r.preprocess, r.aggregator, r.attack) for r in results] == cells
+    for r in results:
+        assert metrics_to_csv(r.metrics) == metrics_to_csv(alone[r.preprocess, r.aggregator, r.attack].metrics)
+    lengths = {(r.preprocess, r.aggregator, r.attack): len(r.metrics) for r in results}
+    assert {n for (p, _, _), n in lengths.items() if p == "truncate"} == {0}  # infeasible
+    assert lengths["passthrough", "mean", "negation_fraction"] == 1
+    assert lengths["passthrough", "trimmed", "negation_fraction"] == 6
+    assert sum(n == cfg.rounds for n in lengths.values()) == 10
+    # one call per distinct start; one ranking per distinct (matrix, kind)
+    want = sorted({(cell[2], *rest) for cell, *rest in alone_starts})
+    assert sorted(starts) == want and len(want) < len(alone_starts)
+    want = sorted({(cell[2], *rest) for cell, *rest in alone_ranked})
+    assert sorted(ranked) == want and len(want) < len(alone_ranked)
 
 
 def _openblas():

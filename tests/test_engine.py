@@ -27,6 +27,7 @@ from byzweight.engine import (
     aggregate_weighted_median,
     client_update,
     metrics_to_csv,
+    round_plan,
     run_training,
     select_clients,
     stream,
@@ -78,7 +79,8 @@ def round_update(model, w, clients, rows, cfg, round_index, chosen=None):
     at = list(range(len(clients)) if chosen is None else chosen)
     updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
     ids = np.array([clients[i].id for i in at], dtype=np.int64)
-    return client_update(model, w, ids, pool, offset[at], count[at], cfg, round_index, updates)
+    plan = round_plan(ids, offset[at], count[at], cfg, round_index)
+    return client_update(model, w, plan, pool, updates)
 
 
 def train_one(model, w, client, cfg, round_index, effective_size=None):
@@ -186,7 +188,7 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
     clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
     clients[4] = ClientSpec(4, shards[4], 50, Behavior.LABEL_SHIFT)
     cfg = toy_config(rounds=2, epochs=2, batch_size=2, master_seed=9)
-    run_training(model, clients, shards[0], cfg)
+    run_training(model, clients, shards[0], [cfg])
 
     def keys_of(tag):
         return sorted(k[2:] for k in built if k[:2] == (9, tag))
@@ -265,12 +267,12 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
                      honest_use_all_samples=False, master_seed=12)
     seen, update = [], engine.client_update
 
-    def spy(model, w, ids, *rest):
-        seen.append((w.copy(), ids.tolist(), update(model, w, ids, *rest).copy()))
+    def spy(model, w, plan, *rest):
+        seen.append((w.copy(), plan.ids.tolist(), update(model, w, plan, *rest).copy()))
         return seen[-1][2]
 
     monkeypatch.setattr(engine, "client_update", spy)
-    run_training(model, clients, shards[0], cfg)
+    run_training(model, clients, shards[0], [cfg])
     weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
     rows = [engine._training_rows(model, c, cfg, weight[c.id]) for c in clients]
     assert any(0 < len(r) < len(c.data) for r, c in zip(rows, clients))  # subsets in use
@@ -338,7 +340,7 @@ def test_fixed_subset_built_once_per_run(monkeypatch):
     shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
     clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
     cfg = toy_config(rounds=3, preprocess=Ignore(), honest_use_all_samples=False, master_seed=9)
-    run_training(SoftmaxRegression(dim=4, classes=3), clients, shards[0], cfg)
+    run_training(SoftmaxRegression(dim=4, classes=3), clients, shards[0], [cfg])
     subsets = sorted(k[2:] for k in built if k[:2] == (9, engine._TAG_SUBSET))
     assert subsets == [(cid,) for cid, n in enumerate(sizes) if n > 1]
 
@@ -564,6 +566,37 @@ def test_robust_aggregators_match_stable_sort_bytes_at_workload_shape(k, p):
         assert_matches_stable_sort(u, rng.integers(0, 10, k))
 
 
+# K = 2^15 + 3 puts one column in a block
+@pytest.mark.parametrize("k, p", [(1, 3), (9, 7), (300, 20), (2000, 40), (2**15 + 3, 2)])
+def test_aggregators_give_a_stack_of_weight_rows_the_bytes_of_each_row(k, p):
+    # a (C, K) stack shares each block's ranking; every output row has the
+    # bytes of a call with that weight row alone, and so of a stable sort
+    rows = [tied_updates(k, p, seed) for seed in range(4)] + [near_equal_updates(k, p, 5)]
+    stack = [w for _, w in rows]
+    for u, _ in rows:
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf under the trimmed mean
+            for beta in (0.0, 0.1, 0.3):
+                got = aggregate_trimmed_mean(u, stack, beta)
+                assert got.shape == (len(stack), p)
+                for row, w in zip(got, stack):
+                    assert row.tobytes() == stable_trimmed_mean(u, w, beta).tobytes()
+            got = aggregate_weighted_median(u, stack)
+            for row, w in zip(got, stack):
+                assert row.tobytes() == stable_weighted_median(u, w).tobytes()
+            got = aggregate_weighted_mean(u, [w.tolist() for w in stack])
+            for row, w in zip(got, stack):
+                assert row.tobytes() == aggregate_weighted_mean(u, w).tobytes()
+    u, w = rows[0]
+    for kind in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1)):
+        with pytest.raises(WeightSumZero):  # each row is checked alone
+            aggregate(kind, u, [w, np.zeros(k)])
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            aggregate(kind, u, [w, np.full(k, np.inf)])
+        for bad in ([w[1:], w[1:]], [[w]]):  # a row of K - 1 weights, and a (1, 1, K) array
+            with pytest.raises(ValueError, match="^need equally many updates and weights"):
+                aggregate(kind, u, bad)
+
+
 def zero_and_nan_runs(k: int, p: int, seed: int, fill: float):
     """(k, p) updates whose lower median falls in a run of fill (0.0 or NaN)
     holding both signs, and integer weights with zeros inside the run."""
@@ -578,7 +611,7 @@ def zero_and_nan_runs(k: int, p: int, seed: int, fill: float):
 
 @pytest.mark.parametrize("k", [7, 100, 2000])
 @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["signed_zero", "nan"])
-def test_exact_weight_median_ranks_only_zero_and_nan_picks(k, fill):
+def test_median_on_zero_and_nan_runs_matches_stable_sort(k, fill):
     # whole-number weights, and a lower median in a run of 0.0 and -0.0, or of NaNs of both signs
     for seed in range(4):
         u, weights = zero_and_nan_runs(k, 40, seed, fill)
@@ -734,7 +767,7 @@ def test_zero_rounds_returns_initial_model():
     clients = blob_clients()
     test = generate_blobs(100, dim=6, classes=3, seed=9)
     cfg = toy_config(rounds=0, batch_size=16)
-    w, metrics = run_training(model, clients, test, cfg)
+    [(w, metrics)] = run_training(model, clients, test, [cfg])
     assert metrics == []
     assert np.array_equal(w, np.zeros(model.param_count))
 
@@ -744,8 +777,8 @@ def test_training_is_deterministic_and_learns():
     clients = blob_clients()
     test = generate_blobs(300, dim=6, classes=3, seed=10)
     cfg = toy_config(rounds=15, eta=0.3, batch_size=16, master_seed=5)
-    w1, m1 = run_training(model, clients, test, cfg)
-    w2, m2 = run_training(model, clients, test, cfg)
+    [(w1, m1)] = run_training(model, clients, test, [cfg])
+    [(w2, m2)] = run_training(model, clients, test, [cfg])
     assert np.array_equal(w1, w2)
     assert m1 == m2
     assert len(m1) == 15
@@ -763,7 +796,8 @@ def spy_aggregation(monkeypatch) -> list:
         return ids
 
     def aggregate_spy(kind, updates, weights):
-        seen[-1] += (tuple(weights),)
+        (row,) = weights  # a group of one cell aggregates one weight row
+        seen[-1] += (tuple(row),)
         return aggregate_as_is(kind, updates, weights)
 
     monkeypatch.setattr(engine, "select_clients", select_spy)
@@ -782,7 +816,7 @@ def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
         preprocess=Truncate(TruncationQuery("1/6", "1/3")),
         clients_per_round=4,
     )
-    run_training(model, clients, test, cfg)
+    run_training(model, clients, test, [cfg])
     expected = preprocess([c.declared_size for c in clients], cfg.preprocess)
     assert len(seen) == 3
     for t, ids, weights in seen:
@@ -796,7 +830,7 @@ def test_ignore_mode_weights_everyone_equally(monkeypatch):
     test = generate_blobs(60, dim=6, classes=3, seed=12)
     seen = spy_aggregation(monkeypatch)
     cfg = toy_config(rounds=1, batch_size=16, preprocess=Ignore())
-    run_training(model, clients, test, cfg)
+    run_training(model, clients, test, [cfg])
     assert seen[0][2] == (1,) * 6
 
 
@@ -827,11 +861,35 @@ def test_sample_budget_is_the_preprocessed_weight():
     ):
         seen.clear()
         cfg = toy_config(rounds=2, batch_size=100, preprocess=mode, honest_use_all_samples=use_all)
-        run_training(Recording(), clients, clients[0].data, cfg)
+        run_training(Recording(), clients, clients[0].data, [cfg])
         first, second = seen[:4], seen[4:]
         assert [cid for cid, _ in first] == [0, 1, 2, 3]
         assert [len(used) for _, used in first] == budget
         assert first == second
+
+
+def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
+    # two runs start a round from 0.0 and -0.0: equal values, different bytes,
+    # so they train apart, and every run ends with the bytes it has alone
+    clients = [ClientSpec(0, scalar_data(-0.0), 1),
+               ClientSpec(1, scalar_data(1.0), 3, Behavior.MODEL_NEGATION),
+               ClientSpec(2, scalar_data(-1.0), 1)]
+    cfgs = [toy_config(rounds=4, eta=1.0, preprocess=p, aggregator=a)
+            for p in (Passthrough(), Ignore())
+            for a in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1), TrimmedMean(0.3))]
+    starts, update = [], engine.client_update
+
+    def spy(model, w, plan, *rest):
+        starts.append((plan.round, w.copy()))
+        return update(model, w, plan, *rest)
+
+    monkeypatch.setattr(engine, "client_update", spy)
+    together = run_training(ScalarQuadratic(), clients, scalar_data(0.0), cfgs)
+    assert any(t == u and a == b and a.tobytes() != b.tobytes()
+               for i, (t, a) in enumerate(starts) for u, b in starts[i + 1:])
+    for cfg, (w, metrics) in zip(cfgs, together):
+        [(alone, alone_metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(0.0), [cfg])
+        assert w.tobytes() == alone.tobytes() and metrics == alone_metrics
 
 
 def test_norm_at_the_float_tails():
@@ -858,7 +916,7 @@ def test_round_metrics_report_a_tiny_aggregate_norm():
     # update by about 10^-309, and its square underflowed to a norm of 0
     clients = [ClientSpec(0, scalar_data(1.0), 1),
                ClientSpec(1, scalar_data(1.0), 10**308, Behavior.MODEL_NEGATION)]
-    w, metrics = run_training(ScalarQuadratic(), clients, scalar_data(1.0), toy_config())
+    [(w, metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(1.0), [toy_config()])
     assert 0 < abs(w[0]) < 1e-300
     assert metrics[0].aggregate_norm == abs(w[0])
 
@@ -869,7 +927,7 @@ def test_divergence_flagged_and_terminal():
     client = ClientSpec(0, scalar_data(1.0), 1)
     test = scalar_data(1.0)
     cfg = toy_config(rounds=500, eta=1000.0)
-    w, metrics = run_training(model, [client], test, cfg)
+    [(w, metrics)] = run_training(model, [client], test, [cfg])
     assert math.isnan(metrics[-1].test_accuracy) and math.isnan(metrics[-1].test_loss)
     assert len(metrics) < 500
     assert not any(math.isnan(m.test_accuracy) or math.isnan(m.test_loss) for m in metrics[:-1])
@@ -883,14 +941,14 @@ def test_duplicate_or_gapped_ids_rejected():
             ScalarQuadratic(),
             [ClientSpec(0, c, 1), ClientSpec(0, c, 1)],
             c,
-            toy_config(),
+            [toy_config()],
         )
     with pytest.raises(ValueError):
         run_training(
             ScalarQuadratic(),
             [ClientSpec(1, c, 1), ClientSpec(3, c, 1)],
             c,
-            toy_config(),
+            [toy_config()],
         )
 
 
