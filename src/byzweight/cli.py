@@ -91,10 +91,9 @@ def cmd_bound(args) -> int:
     cfg = read_config(args.config)
     shards, _ = build_task(cfg)
     clients = build_clients(cfg, cfg.scenarios[0], shards)
-    declared = [c.declared_size for c in clients]
     model = cfg.model()
     w = np.random.default_rng(args.seed).standard_normal(model.param_count) * 0.1
-    lhs, rhs = objective_gap(model, w, [c.data for c in clients], declared, args.u)
+    lhs, rhs = objective_gap(model, w, [c.data for c in clients], clients.declared, args.u)
     sys.stdout.write(f"lhs,rhs\n{lhs!r},{rhs!r}\n")
     return EXIT_OK if lhs <= rhs + 1e-9 else 1
 

@@ -6,7 +6,8 @@ weight per client, once, and those weights are what the aggregation rule sees.
 Attackers either negate the server model each round or train on flipped
 labels.  All randomness is drawn from streams keyed on
 (master_seed, purpose, round, client), so results are bit-identical no matter
-how client work is scheduled.
+how client work is scheduled.  A population is arrays (Clients), and a
+client's id is its position in them.
 
 run_training trains runs that differ only in preprocess mode and aggregator
 in lockstep: a round's selection, shuffles and batch schedule (round_plan)
@@ -33,14 +34,15 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .tasks import Dataset, accuracy
+from .tasks import Dataset, SizeMismatch, accuracy
 from .weights import PreprocessInfeasible, PreprocessMode, preprocess
 
 
@@ -123,26 +125,51 @@ class Behavior(enum.Enum):
     LABEL_SHIFT = "label_shift"
 
 
-@dataclass
-class ClientSpec:
-    """One participant: its real data, its claimed size, and how it acts."""
+ClientSpec = namedtuple("ClientSpec", "id data declared_size behavior")
 
-    id: int
+
+@dataclass(frozen=True, eq=False)
+class Clients:
+    """A population, client i at position i: every client's rows in one
+    Dataset, client by client; each one's row count (size, int64), declared
+    count (exact ints, since a lie may exceed int64) and Behavior.  Indexing
+    gives client i as a ClientSpec whose rows are a view of data."""
+
     data: Dataset
-    declared_size: int
-    behavior: Behavior = Behavior.HONEST
+    size: np.ndarray
+    declared: tuple
+    behavior: np.ndarray
+    start: np.ndarray = field(init=False, repr=False)  # each client's first row in data
 
     def __post_init__(self) -> None:
-        if len(self.data) == 0:
-            raise EmptyClientData(f"client {self.id} holds no samples")
-        if self.declared_size < 1:
+        size = np.asarray(self.size, dtype=np.int64)
+        declared = tuple(map(operator.index, self.declared))
+        behavior = np.fromiter(self.behavior, dtype=object)  # np.array probes each item: 10x slower
+        if not len(size) == len(declared) == len(behavior):
+            raise ValueError("need one size, declared count and behavior per client")
+        for name, value in [("size", size), ("declared", declared), ("behavior", behavior),
+                            ("start", np.cumsum(size) - size)]:
+            object.__setattr__(self, name, value)
+        if (empty := np.flatnonzero(size < 1)).size:
+            raise EmptyClientData(f"client {empty[0]} holds no samples")
+        if size.sum() != len(self.data):
+            raise SizeMismatch(f"sizes sum to {size.sum()} "
+                               f"but the dataset holds {len(self.data)} rows")
+        if min(declared, default=1) < 1:
             raise ValueError("declared_size must be a positive integer")
         # honest clients report their true size; only attackers may lie
-        if self.behavior is Behavior.HONEST and self.declared_size != len(self.data):
-            raise ValueError(
-                f"honest client {self.id} declares {self.declared_size} "
-                f"but holds {len(self.data)}"
-            )
+        lied = np.flatnonzero((behavior == Behavior.HONEST) & (np.array(declared, object) != size))
+        if lied.size:
+            i = lied[0]
+            raise ValueError(f"honest client {i} declares {declared[i]} but holds {size[i]}")
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def __getitem__(self, i: int) -> ClientSpec:
+        i = range(len(self))[i]  # IndexError past either end, which also ends iteration
+        rows = slice(self.start[i], self.start[i] + self.size[i])
+        return ClientSpec(i, self.data.subset(rows), self.declared[i], self.behavior[i])
 
 
 @dataclass(frozen=True)
@@ -220,31 +247,26 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _training_rows(model, client: ClientSpec, cfg: TrainConfig, effective_size: int) -> Dataset:
-    """The rows a client trains on in every round; none for a model-negation
-    attacker.  Without honest_use_all_samples, a fixed subset of at most
-    effective_size rows; under label shift, labels y become (classes-1)-y."""
-    data = client.data
-    if client.behavior is Behavior.MODEL_NEGATION:
-        return Dataset(data.features[:0], data.labels[:0])
-    if not cfg.honest_use_all_samples:
-        keep = min(effective_size, len(data))
-        if keep < len(data):
-            rng = stream(cfg.master_seed, _TAG_SUBSET, client.id)
-            idx = rng.permutation(len(data))[:keep]
-            data = data.subset(np.sort(idx))
-    if client.behavior is Behavior.LABEL_SHIFT:
-        data = Dataset(data.features, (model.classes - 1) - data.labels)
-    return data
-
-
-def _row_pool(rows: Sequence[Dataset]) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Every client's training rows in one Dataset, with each client's first
-    row in it and its row count."""
-    count = np.array([len(data) for data in rows], dtype=np.int64)
-    pool = Dataset(np.concatenate([data.features for data in rows]),
-                   np.concatenate([data.labels for data in rows]))
-    return pool, np.cumsum(count) - count, count
+def _row_pool(model, clients: Clients, cfg: TrainConfig, weight):
+    """The rows each client trains on in every round, with each client's
+    first row in them and its row count: none for a model-negation attacker;
+    under label shift, labels y become (classes-1)-y in a copy of the labels.
+    Under honest_use_all_samples that is clients.data's own features; without
+    it, a fixed subset of min(weight, rows held) of each client's rows."""
+    data, size = clients.data, clients.size
+    n = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, size)
+    shift = np.repeat(clients.behavior == Behavior.LABEL_SHIFT, size)
+    if shift.any():
+        labels = np.where(shift, (model.classes - 1) - data.labels, data.labels)
+        data = Dataset(data.features, labels)
+    if cfg.honest_use_all_samples:
+        return data, clients.start, n
+    n = np.array([*map(min, weight, n.tolist())], dtype=np.int64)
+    rows = np.repeat(n == size, size)
+    for i in np.flatnonzero((0 < n) & (n < size)).tolist():
+        pick = stream(cfg.master_seed, _TAG_SUBSET, i).permutation(size[i])[:n[i]]
+        rows[clients.start[i] + pick] = True
+    return data.subset(rows), np.cumsum(n) - n, n
 
 
 def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
@@ -489,7 +511,7 @@ def _norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w * scale)) / scale  # a norm beyond the float range is inf
 
 
-def run_training(model, clients: Sequence[ClientSpec], testset: Dataset,
+def run_training(model, clients: Clients, testset: Dataset,
                  cfgs: Sequence[TrainConfig]) -> list[tuple[Optional[np.ndarray], list]]:
     """Train one model per config on the same clients, in lockstep; returns
     each config's final parameters and per-round metrics, or (None, []) when
@@ -497,26 +519,24 @@ def run_training(model, clients: Sequence[ClientSpec], testset: Dataset,
 
     Configs equal but for preprocess mode, aggregator and rounds whose weights
     allow the same rows (always, under honest_use_all_samples) form a row
-    group: one row pool and initial model, and per round one selection and
-    round_plan.  Its models that are byte-equal at a round's start train once
-    into one (m, P) matrix, which each aggregator kind reads once for the
-    stack of their weight rows.  A non-finite aggregate ends a run on NaN metrics.
+    group: one row pool (_row_pool) and initial model, and per round one
+    selection and round_plan.  Its models that are byte-equal at a round's
+    start train once into one (m, P) matrix, which each aggregator kind reads
+    once for the stack of their weight rows.  A non-finite aggregate ends a
+    run on NaN metrics.
     """
-    clients = sorted(clients, key=lambda c: c.id)
-    if [c.id for c in clients] != list(range(len(clients))):
-        raise ValueError("client ids must be distinct and 0..K-1")
-    declared, sizes = [c.declared_size for c in clients], [len(c.data) for c in clients]
+    sizes = clients.size.tolist()
     groups, cells = {}, []  # row group: (pool, offset, n), initial model, config
     for cfg in cfgs:
         cells.append(cell := SimpleNamespace(cfg=cfg, w=None, metrics=[]))
         try:
-            cell.weight = preprocess(declared, cfg.preprocess)
+            cell.weight = preprocess(clients.declared, cfg.preprocess)
         except PreprocessInfeasible:
             continue  # the run never starts
         rows = cfg.honest_use_all_samples or np.array([*map(min, cell.weight, sizes)]).tobytes()
         cell.group = repr(replace(cfg, rounds=0, preprocess=None, aggregator=None)), rows
         if cell.group not in groups:
-            pool = _row_pool([_training_rows(model, c, cfg, cell.weight[c.id]) for c in clients])
+            pool = _row_pool(model, clients, cfg, cell.weight)
             groups[cell.group] = pool, model.init_params(stream(cfg.master_seed, _TAG_INIT)), cfg
         cell.w = groups[cell.group][1]
     live = [c for c in cells if c.w is not None]

@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .config import ExperimentConfig
-from .engine import ClientSpec, RoundMetrics, metrics_to_csv, run_training, stream
+from .engine import Behavior, Clients, RoundMetrics, metrics_to_csv, run_training, stream
 from .tasks import generate_blobs, generate_partition, split_by_sizes
 
 # seed tags for task construction; the engine owns tags 1..5
@@ -37,7 +37,7 @@ SUMMARY_HEADER = "preprocess,aggregator,attack,final_accuracy"
 
 
 def build_task(cfg: ExperimentConfig):
-    """Training shards, their true sizes, and the held-out test set."""
+    """The shuffled training rows and each shard's size, and the held-out test set."""
     train = generate_blobs(
         cfg.train_samples,
         cfg.dim,
@@ -53,8 +53,7 @@ def build_task(cfg: ExperimentConfig):
         separation=cfg.separation,
     )
     sizes = generate_partition(cfg.partition(seed=(cfg.master_seed, _TAG_PARTITION)))
-    shards = split_by_sizes(train, sizes, seed=(cfg.master_seed, _TAG_SPLIT))
-    return shards, test
+    return split_by_sizes(train, sizes, seed=(cfg.master_seed, _TAG_SPLIT)), test
 
 
 def attacker_ids(cfg: ExperimentConfig, scenario: str) -> frozenset[int]:
@@ -63,11 +62,13 @@ def attacker_ids(cfg: ExperimentConfig, scenario: str) -> frozenset[int]:
     return frozenset(rng.choice(cfg.clients, size=count, replace=False).tolist())
 
 
-def build_clients(cfg: ExperimentConfig, scenario: str, shards) -> list[ClientSpec]:
-    behavior, _, declared_lie = cfg.attack(scenario)
-    attackers = attacker_ids(cfg, scenario)
-    return [ClientSpec(cid, shard, declared_lie, behavior) if cid in attackers
-            else ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
+def build_clients(cfg: ExperimentConfig, scenario: str, shards) -> Clients:
+    """A scenario's clients on build_task's shards; its attackers act and lie as it says."""
+    (data, size), (behavior, _, declared_lie) = shards, cfg.attack(scenario)
+    declared, behaviors = size.tolist(), [Behavior.HONEST] * len(size)
+    for i in attacker_ids(cfg, scenario):
+        declared[i], behaviors[i] = declared_lie, behavior
+    return Clients(data, size, declared, behaviors)
 
 
 def metrics_filename(preprocess: str, aggregator: str, attack: str) -> str:

@@ -128,17 +128,11 @@ def generate_blobs(
     return Dataset(features, labels)
 
 
-def split_by_sizes(ds: Dataset, sizes, seed) -> list[Dataset]:
-    """Shuffle rows once, then hand out contiguous runs of the given sizes,
-    each a view of the one shuffled copy."""
-    size_list = [int(s) for s in sizes]
-    if sum(size_list) != len(ds):
-        raise SizeMismatch(
-            f"sizes sum to {sum(size_list)} but the dataset holds {len(ds)} rows"
-        )
-    shuffled = ds.subset(np.random.default_rng(seed).permutation(len(ds)))
-    ends = np.cumsum(size_list).tolist()
-    return [Dataset(shuffled.features[a:b], shuffled.labels[a:b]) for a, b in zip([0, *ends], ends)]
+def split_by_sizes(ds: Dataset, sizes, seed) -> tuple[Dataset, np.ndarray]:
+    """Shuffle rows once; shard i is the next sizes[i] rows of the shuffled
+    copy (engine.Clients checks that the sizes cover it).  Returns that copy
+    and the sizes as int64."""
+    return ds.subset(np.random.default_rng(seed).permutation(len(ds))), np.asarray(sizes, np.int64)
 
 
 # ------------------------------------------------------------------- models

@@ -267,3 +267,32 @@ def client_by_client_update(model, w, clients, rows, cfg, round_index) -> np.nda
                 v = v - (cfg.eta * (len(batch) / b)) * grad
         updates.append(v)
     return np.array(updates)
+
+
+def training_rows(model, client, cfg, effective_size):
+    """The rows a client trains on in every round, built from its own rows
+    alone: none for a model-negation attacker; without honest_use_all_samples
+    the sorted first min(effective_size, rows) of a permutation drawn from
+    np.random.default_rng((master_seed, 5, id)); labels y become
+    (classes-1)-y under label shift.  The reference for the engine's row pool."""
+    from byzweight.engine import Behavior
+    from byzweight.tasks import Dataset
+
+    data = client.data
+    if client.behavior is Behavior.MODEL_NEGATION:
+        return Dataset(data.features[:0], data.labels[:0])
+    keep = len(data) if cfg.honest_use_all_samples else min(effective_size, len(data))
+    if keep < len(data):
+        idx = np.sort(np.random.default_rng((cfg.master_seed, 5, client.id)).permutation(len(data))[:keep])
+        data = Dataset(data.features[idx], data.labels[idx])
+    if client.behavior is Behavior.LABEL_SHIFT:
+        data = Dataset(data.features, (model.classes - 1) - data.labels)
+    return data
+
+
+def shards(data, sizes) -> list:
+    """Shard i of split_by_sizes' (data, sizes): the next sizes[i] rows."""
+    from byzweight.tasks import Dataset
+
+    cuts = np.cumsum(sizes)[:-1]
+    return [Dataset(f, y) for f, y in zip(np.split(data.features, cuts), np.split(data.labels, cuts))]

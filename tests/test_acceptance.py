@@ -19,7 +19,7 @@ import pytest
 from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.certificate import CertificateParams, false_certification_rate
-from byzweight.engine import aggregate_trimmed_mean, aggregate_weighted_median
+from byzweight.engine import Behavior, Clients, aggregate_trimmed_mean, aggregate_weighted_median
 from byzweight.experiment import build_clients, build_task, run_cells
 from byzweight.tasks import (
     Dataset,
@@ -190,12 +190,15 @@ def _gap_instance(rng, k):
     # sits near the clean optimum so their shard objective is genuinely high
     sizes = [int(x) for x in rng.integers(20, 100, size=k)]
     ds = generate_blobs(sum(sizes), dim=5, classes=3, seed=int(rng.integers(1e9)))
-    shards = split_by_sizes(ds, sizes, seed=int(rng.integers(1e9)))
-    declared = [len(s) for s in shards]
+    data, sizes = split_by_sizes(ds, sizes, seed=int(rng.integers(1e9)))
+    declared, behavior = sizes.tolist(), [Behavior.HONEST] * k
     liars = int(rng.integers(0, max(2, k // 3)))
     for i in rng.choice(k, size=liars, replace=False):
         declared[i] = 10**6 + int(rng.integers(0, 1000))
-        shards[i] = Dataset(shards[i].features, 2 - shards[i].labels)
+        behavior[i] = Behavior.LABEL_SHIFT
+    clients = Clients(data, sizes, declared, behavior)
+    shards = [c.data if c.behavior is Behavior.HONEST else Dataset(c.data.features, 2 - c.data.labels)
+              for c in clients]
     model = SoftmaxRegression(dim=5, classes=3)
     w = np.zeros(model.param_count)
     for _ in range(40):

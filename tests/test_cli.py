@@ -361,8 +361,8 @@ def test_attacker_sets_deterministic_and_sized():
 def test_build_clients_marks_attackers():
     # a quarter of 8 clients is 2 attackers under *_fraction, against 1 under *_single
     cfg = parse_config(SMALL.replace("[attack]\n", "[attack]\nfraction = 0.25\n"))
-    shards, test = build_task(cfg)
-    assert sum(len(s) for s in shards) == 400
+    (data, sizes), test = build_task(cfg)
+    assert len(data) == sizes.sum() == 400 and len(sizes) == 8
     assert len(test) == 150
     want = {  # scenario: (attackers' behavior, how many, the size each declares)
         "none": (None, 0, None),
@@ -373,7 +373,7 @@ def test_build_clients_marks_attackers():
     }
     assert list(want) == list(SCENARIOS)
     for scenario, (behavior, count, lie) in want.items():
-        clients = build_clients(cfg, scenario, shards)
+        clients = build_clients(cfg, scenario, (data, sizes))
         assert [c.id for c in clients] == list(range(8))
         liars = [c for c in clients if c.behavior is not Behavior.HONEST]
         assert [c.behavior for c in liars] == [behavior] * count, scenario
@@ -421,6 +421,40 @@ def test_run_grid_writes_every_cell(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "preprocess,aggregator,attack,final_accuracy"
     assert len(summary) == 19
+
+
+CROWD = """
+[task]
+dim = 5
+classes = 3
+train_samples = 200000
+clients = 100000
+
+[training]
+rounds = 3
+batch_size = 1.0
+clients_per_round = 200
+
+[preprocess]
+modes = passthrough,truncate
+
+[aggregator]
+kinds = median
+
+[attack]
+scenarios = none,negation_fraction
+"""
+
+
+def test_run_grid_at_a_hundred_thousand_clients(tmp_path):
+    # two samples a client on average, most clients holding one row
+    results = run_grid(parse_config(CROWD), out_dir=str(tmp_path), jobs=1)
+    assert len(results) == 4 and len(list(tmp_path.iterdir())) == 5
+    for r in results:
+        path = tmp_path / metrics_filename(r.preprocess, r.aggregator, r.attack)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(np.isfinite(float(x)) for row in rows for x in row)
 
 
 def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):

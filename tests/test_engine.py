@@ -12,7 +12,7 @@ from byzweight import engine
 from byzweight.engine import (
     AllMassTrimmed,
     Behavior,
-    ClientSpec,
+    Clients,
     EmptyClientData,
     METRICS_CSV_HEADER,
     RoundMetrics,
@@ -36,12 +36,14 @@ from byzweight.engine import (
 from byzweight.tasks import (
     Dataset,
     OneHiddenMLP,
+    SizeMismatch,
     SoftmaxRegression,
     generate_blobs,
     split_by_sizes,
 )
 from byzweight.weights import Ignore, Passthrough, Truncate, TruncationQuery, preprocess
-from oracles import client_by_client_update, stable_trimmed_mean, stable_weighted_median
+from oracles import (client_by_client_update, stable_trimmed_mean, stable_weighted_median,
+                     training_rows)
 
 
 @dataclass(frozen=True)
@@ -72,22 +74,29 @@ def scalar_data(*zs):
     return Dataset(np.array(zs, dtype=float)[:, None], np.zeros(len(zs), dtype=np.int64))
 
 
-def round_update(model, w, clients, rows, cfg, round_index, chosen=None):
-    """client_update of the chosen clients (all by default) over one pool of
-    every client's rows, as run_training makes it."""
-    pool, offset, count = engine._row_pool(rows)
-    at = list(range(len(clients)) if chosen is None else chosen)
+def population(data, sizes, declared=None, behavior=None):
+    """Clients on data, client i holding the next sizes[i] rows; each is
+    honest and declares its size but where the dicts declared and behavior,
+    keyed by client, say otherwise."""
+    declared, behavior = declared or {}, behavior or {}
+    return Clients(data, sizes, [declared.get(i, int(n)) for i, n in enumerate(sizes)],
+                   [behavior.get(i, Behavior.HONEST) for i in range(len(sizes))])
+
+
+def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
+    """client_update of the chosen clients (all by default) over the row pool
+    run_training builds for these weights (by default the declared counts)."""
+    weight = clients.declared if weight is None else weight
+    pool, offset, count = engine._row_pool(model, clients, cfg, weight)
+    at = np.arange(len(clients)) if chosen is None else np.array(chosen, dtype=np.int64)
     updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
-    ids = np.array([clients[i].id for i in at], dtype=np.int64)
-    plan = round_plan(ids, offset[at], count[at], cfg, round_index)
+    plan = round_plan(at, offset[at], count[at], cfg, round_index)
     return client_update(model, w, plan, pool, updates)
 
 
-def train_one(model, w, client, cfg, round_index, effective_size=None):
-    """client_update for a round in which only this client trains."""
-    size = len(client.data) if effective_size is None else effective_size
-    rows = engine._training_rows(model, client, cfg, size)
-    return round_update(model, w, [client], [rows], cfg, round_index)[0]
+def train_one(model, w, clients, cfg, round_index, who=0, weight=None):
+    """client_update for a round in which only client who trains."""
+    return round_update(model, w, clients, cfg, round_index, [who], weight)[0]
 
 
 def toy_config(**kw):
@@ -108,20 +117,20 @@ def toy_config(**kw):
 
 
 def test_single_gradient_step_by_hand():
-    client = ClientSpec(0, scalar_data(1.0), 1)
+    client = population(scalar_data(1.0), [1])
     w = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(), 1)
     assert w[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_two_epochs_by_hand():
-    client = ClientSpec(0, scalar_data(1.0), 1)
+    client = population(scalar_data(1.0), [1])
     w = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(epochs=2), 1)
     assert w[0] == pytest.approx(0.19, abs=1e-15)
 
 
 def test_no_movement_at_shard_optimum():
     data = scalar_data(1.0, 3.0, 8.0)
-    client = ClientSpec(0, data, 3)
+    client = population(data, [3])
     opt = np.array([4.0])
     cfg = toy_config(epochs=3, batch_size=3)
     w = train_one(ScalarQuadratic(), opt, client, cfg, 1)
@@ -129,12 +138,11 @@ def test_no_movement_at_shard_optimum():
 
 
 def test_partial_batch_scales_by_its_size():
-    # replay the same shuffle stream and apply the update rule by hand
-    data = scalar_data(1.0, 3.0, 8.0)
-    client = ClientSpec(4, data, 3)
+    # replay the same shuffle stream and apply the update rule by hand; client 4 trains
+    clients = population(scalar_data(0.0, 0.0, 0.0, 0.0, 1.0, 3.0, 8.0), [1, 1, 1, 1, 3])
     cfg = toy_config(eta=0.05, batch_size=2)
-    got = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 7)
-    zs = data.features[:, 0]
+    got = train_one(ScalarQuadratic(), np.zeros(1), clients, cfg, 7, who=4)
+    zs = clients[4].data.features[:, 0]
     order = stream(cfg.master_seed, 3, 7, 4).permutation(3)
     w = 0.0
     for start in (0, 2):
@@ -147,12 +155,12 @@ def test_partial_batch_scales_by_its_size():
 def test_fractional_batch_size_resolves_per_client():
     # f=1.0 means one full batch regardless of shard size
     data = scalar_data(1.0, 3.0, 8.0, 2.0)
-    client = ClientSpec(0, data, 4)
+    client = population(data, [4])
     frac = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=1.0), 1)
     whole = train_one(ScalarQuadratic(), np.zeros(1), client, toy_config(batch_size=4), 1)
     assert frac[0] == whole[0]
     # a single-sample shard gets batch 1, so the step keeps full magnitude
-    one = ClientSpec(0, scalar_data(1.0), 1)
+    one = population(scalar_data(1.0), [1])
     w = train_one(ScalarQuadratic(), np.zeros(1), one, toy_config(batch_size=0.25), 1)
     assert w[0] == pytest.approx(0.1, abs=1e-15)
 
@@ -184,11 +192,10 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
     monkeypatch.setattr(engine, "stream", spy)
     monkeypatch.setattr(engine, "streams", batch_spy)
     sizes = (1, 4, 1, 7, 2, 1)
-    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
-    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
-    clients[4] = ClientSpec(4, shards[4], 50, Behavior.LABEL_SHIFT)
+    clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
+                         {4: 50}, {4: Behavior.LABEL_SHIFT})
     cfg = toy_config(rounds=2, epochs=2, batch_size=2, master_seed=9)
-    run_training(model, clients, shards[0], [cfg])
+    run_training(model, clients, clients[0].data, [cfg])
 
     def keys_of(tag):
         return sorted(k[2:] for k in built if k[:2] == (9, tag))
@@ -220,13 +227,11 @@ def test_lockstep_matches_each_client_alone(model):
     for trial in range(8):
         sizes = [int(x) for x in rng.choice([1, 1, 1, 2, 3, 4, 7, 12], size=14)]
         data = generate_blobs(sum(sizes), dim=5, classes=3, seed=trial)
-        shards = split_by_sizes(data, sizes, seed=trial + 50)
-        clients = []
-        for cid, shard in enumerate(shards):
-            # every round holds label-shift and negation lanes
-            behavior = Behavior(behaviors[cid % 4] if cid < 4 else rng.choice(behaviors))
-            declared = len(shard) if behavior is Behavior.HONEST else 40
-            clients.append(ClientSpec(cid, shard, declared, behavior))
+        # every round holds label-shift and negation lanes
+        behavior = {cid: Behavior(behaviors[cid % 4] if cid < 4 else rng.choice(behaviors))
+                    for cid in range(len(sizes))}
+        declared = {cid: 40 for cid, b in behavior.items() if b is not Behavior.HONEST}
+        clients = population(*split_by_sizes(data, sizes, seed=trial + 50), declared, behavior)
         cfg = toy_config(
             eta=0.3,
             epochs=2,
@@ -234,19 +239,20 @@ def test_lockstep_matches_each_client_alone(model):
             honest_use_all_samples=bool(trial % 2),
             master_seed=trial,
         )
-        rows = [engine._training_rows(model, c, cfg, int(rng.integers(1, 10))) for c in clients]
+        weight = [int(rng.integers(1, 10)) for _ in clients]
+        rows = [training_rows(model, c, cfg, wt) for c, wt in zip(clients, weight)]
         w = model.init_params(np.random.default_rng(trial)) + 0.1
         for per_round in (None, 5, 0.5):
             chosen = select_clients(4, len(clients), per_round, trial)
             picked = [clients[cid] for cid in chosen]
             picked_rows = [rows[cid] for cid in chosen]
-            together = round_update(model, w, clients, rows, cfg, 4, chosen)
+            together = round_update(model, w, clients, cfg, 4, chosen, weight)
             assert together.shape == (len(chosen), model.param_count)
             reference = client_by_client_update(model, w, picked, picked_rows, cfg, 4)
             assert together.tobytes() == reference.tobytes()
-            for i, (client, r) in enumerate(zip(picked, picked_rows)):
-                alone = round_update(model, w, [client], [r], cfg, 4)
-                assert np.array_equal(together[i], alone[0])
+            for i, client in enumerate(picked):
+                alone = train_one(model, w, clients, cfg, 4, client.id, weight)
+                assert np.array_equal(together[i], alone)
                 if client.behavior is Behavior.MODEL_NEGATION:
                     assert np.array_equal(together[i], -w)
 
@@ -258,10 +264,9 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
     model = SoftmaxRegression(dim=5, classes=3)
     rng = np.random.default_rng(31)
     sizes = [int(x) for x in rng.choice([1, 2, 3, 5, 8, 13], size=16)]
-    shards = split_by_sizes(generate_blobs(sum(sizes), dim=5, classes=3, seed=4), sizes, seed=5)
     odd = {2: Behavior.LABEL_SHIFT, 9: Behavior.LABEL_SHIFT, 5: Behavior.MODEL_NEGATION}
-    clients = [ClientSpec(cid, shard, 100 if cid in odd else len(shard), odd.get(cid, Behavior.HONEST))
-               for cid, shard in enumerate(shards)]
+    clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=5, classes=3, seed=4), sizes, seed=5),
+                         {cid: 100 for cid in odd}, odd)
     cfg = toy_config(rounds=6, eta=0.3, epochs=2, batch_size=2, clients_per_round=7,
                      preprocess=Truncate(TruncationQuery("1/4", "1/3")),  # cap 3
                      honest_use_all_samples=False, master_seed=12)
@@ -272,9 +277,9 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(engine, "client_update", spy)
-    run_training(model, clients, shards[0], [cfg])
-    weight = preprocess([c.declared_size for c in clients], cfg.preprocess)
-    rows = [engine._training_rows(model, c, cfg, weight[c.id]) for c in clients]
+    run_training(model, clients, clients[0].data, [cfg])
+    weight = preprocess(clients.declared, cfg.preprocess)
+    rows = [training_rows(model, c, cfg, weight[c.id]) for c in clients]
     assert any(0 < len(r) < len(c.data) for r, c in zip(rows, clients))  # subsets in use
     assert len(seen) == 6 and all(ids != list(range(7)) for _, ids, _ in seen)
     assert {2, 5, 9} <= {cid for _, ids, _ in seen for cid in ids}
@@ -322,9 +327,8 @@ def test_equal_length_batches_share_one_gradient_call(monkeypatch):
 
     monkeypatch.setattr(SoftmaxRegression, "gradient", lambda self, *a: spy(*a))
     sizes = (3, 1, 3, 1, 3)
-    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
-    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
-    round_update(model, np.zeros(model.param_count), clients, shards, toy_config(batch_size=3), 1)
+    clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6))
+    round_update(model, np.zeros(model.param_count), clients, toy_config(batch_size=3), 1)
     assert sorted(calls) == [(2, 1), (3, 3)]
 
 
@@ -336,13 +340,41 @@ def test_fixed_subset_built_once_per_run(monkeypatch):
         return stream(*keys)
 
     monkeypatch.setattr(engine, "stream", spy)
-    sizes = (1, 4, 1, 7, 2)
-    shards = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6)
-    clients = [ClientSpec(cid, shard, len(shard)) for cid, shard in enumerate(shards)]
+    # client 5, a model-negation attacker, holds more rows than its weight of 1 but trains on none
+    sizes = (1, 4, 1, 7, 2, 5)
+    clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
+                         {5: 9}, {5: Behavior.MODEL_NEGATION})
     cfg = toy_config(rounds=3, preprocess=Ignore(), honest_use_all_samples=False, master_seed=9)
-    run_training(SoftmaxRegression(dim=4, classes=3), clients, shards[0], [cfg])
+    run_training(SoftmaxRegression(dim=4, classes=3), clients, clients[0].data, [cfg])
     subsets = sorted(k[2:] for k in built if k[:2] == (9, engine._TAG_SUBSET))
-    assert subsets == [(cid,) for cid, n in enumerate(sizes) if n > 1]
+    assert subsets == [(cid,) for cid, n in enumerate(sizes) if n > 1 and cid != 5]
+
+
+def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
+    # under honest_use_all_samples client_update reads the clients' own
+    # features; a label-shift client gets a copy of the labels in which only
+    # its own rows' labels are flipped, and without one nothing is copied
+    pools, update = [], engine.client_update
+
+    def spy(model, w, plan, pool, updates):
+        pools.append(pool)
+        return update(model, w, plan, pool, updates)
+
+    monkeypatch.setattr(engine, "client_update", spy)
+    sizes = (3, 1, 4, 2)
+    data = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=8), sizes, seed=9)
+    model = SoftmaxRegression(dim=4, classes=3)
+    for shifted in ({}, {2: Behavior.LABEL_SHIFT}):
+        pools.clear()
+        clients = population(*data, {i: 50 for i in shifted}, shifted)
+        run_training(model, clients, clients[0].data, [toy_config(rounds=2)])
+        assert len(pools) == 2 and pools[0] is pools[1]
+        pool = pools[0]
+        assert np.shares_memory(pool.features, clients.data.features)
+        assert np.shares_memory(pool.labels, clients.data.labels) == (not shifted)
+        want = clients.data.labels.copy()
+        want[4:8] = 2 - want[4:8] if shifted else want[4:8]  # client 2's rows
+        assert pool.labels.tobytes() == want.tobytes()
 
 
 def test_label_shift_trains_on_flipped_labels():
@@ -351,41 +383,46 @@ def test_label_shift_trains_on_flipped_labels():
     model = SoftmaxRegression(dim=6, classes=5)
     w0 = np.zeros(model.param_count)
     cfg = toy_config(eta=0.2, epochs=2, batch_size=8)
-    shifty = ClientSpec(2, ds, 40, Behavior.LABEL_SHIFT)
-    honest = ClientSpec(2, flipped, 40)
+    shifty = population(ds, [40], behavior={0: Behavior.LABEL_SHIFT})
+    honest = population(flipped, [40])
     a = train_one(model, w0, shifty, cfg, 5)
     b = train_one(model, w0, honest, cfg, 5)
     assert np.array_equal(a, b)
 
 
 def test_fixed_subset_mode_uses_fewer_samples():
-    data = scalar_data(*range(1, 11))
-    client = ClientSpec(1, data, 10)
+    clients = population(scalar_data(0.0, *range(1, 11)), [1, 10])  # client 1 trains
     cfg = toy_config(eta=0.5, epochs=1, batch_size=10, honest_use_all_samples=False)
-    full = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=10)
-    few = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
-    again = train_one(ScalarQuadratic(), np.zeros(1), client, cfg, 1, effective_size=3)
+    full = train_one(ScalarQuadratic(), np.zeros(1), clients, cfg, 1, who=1, weight=[1, 10])
+    few = train_one(ScalarQuadratic(), np.zeros(1), clients, cfg, 1, who=1, weight=[1, 3])
+    again = train_one(ScalarQuadratic(), np.zeros(1), clients, cfg, 1, who=1, weight=[1, 3])
     assert full[0] == pytest.approx(0.5 * np.mean(range(1, 11)))
     assert few[0] != full[0]
     assert few[0] == again[0]
     # all-samples mode ignores the effective size entirely
     cfg_all = toy_config(eta=0.5, epochs=1, batch_size=10)
-    assert train_one(ScalarQuadratic(), np.zeros(1), client, cfg_all, 1, effective_size=3)[
+    assert train_one(ScalarQuadratic(), np.zeros(1), clients, cfg_all, 1, who=1, weight=[1, 3])[
         0
     ] == pytest.approx(full[0])
 
 
 def test_honest_client_cannot_lie():
-    with pytest.raises(ValueError):
-        ClientSpec(0, scalar_data(1.0, 2.0), 5)
-    ClientSpec(0, scalar_data(1.0, 2.0), 5, Behavior.MODEL_NEGATION)
+    with pytest.raises(ValueError, match="^honest client 1 declares 5 but holds 2$"):
+        population(scalar_data(1.0, 2.0, 3.0), [1, 2], {1: 5})
+    liar = population(scalar_data(1.0, 2.0, 3.0), [1, 2], {1: 10**400}, {1: Behavior.MODEL_NEGATION})
+    assert liar.declared == (1, 10**400) and liar[1].declared_size == 10**400  # exact, past int64
 
 
 def test_client_needs_samples_and_a_positive_declared_size():
+    negation = [Behavior.MODEL_NEGATION] * 4
     with pytest.raises(EmptyClientData, match="^client 3 holds no samples$"):
-        ClientSpec(3, scalar_data(), 1, Behavior.MODEL_NEGATION)
+        Clients(scalar_data(1.0, 2.0, 3.0), [1, 1, 1, 0], [1] * 4, negation)
     with pytest.raises(ValueError, match="^declared_size must be a positive integer$"):
-        ClientSpec(0, scalar_data(1.0), 0, Behavior.MODEL_NEGATION)
+        Clients(scalar_data(1.0), [1], [0], negation[:1])
+    with pytest.raises(SizeMismatch, match="^sizes sum to 1 but the dataset holds 2 rows$"):
+        Clients(scalar_data(1.0, 2.0), [1], [1], negation[:1])
+    with pytest.raises(ValueError, match="^need one size, declared count and behavior per client$"):
+        Clients(scalar_data(1.0, 2.0), [1, 1], [1], negation[:2])
 
 
 # --------------------------------------------------------------- aggregators
@@ -753,13 +790,8 @@ def test_select_clients_inclusion_frequency():
 def blob_clients(n_clients=6, behavior_map=None, seed=0):
     sizes = [30 + 5 * i for i in range(n_clients)]
     ds = generate_blobs(sum(sizes), dim=6, classes=3, seed=seed)
-    shards = split_by_sizes(ds, sizes, seed=seed + 1)
-    clients = []
-    for i, shard in enumerate(shards):
-        behavior = (behavior_map or {}).get(i, Behavior.HONEST)
-        declared = len(shard) if behavior is Behavior.HONEST else 10**6
-        clients.append(ClientSpec(i, shard, declared, behavior))
-    return clients
+    behavior = behavior_map or {}
+    return population(*split_by_sizes(ds, sizes, seed=seed + 1), {i: 10**6 for i in behavior}, behavior)
 
 
 def test_zero_rounds_returns_initial_model():
@@ -846,13 +878,10 @@ def test_sample_budget_is_the_preprocessed_weight():
                 seen.append((int(rows[0, 0]), sorted(rows[:, 1].tolist())))
             return super().gradient(w, batch, dropout_rng)
 
-    clients = []
-    for cid, n in enumerate((3, 4, 5, 6)):
-        rows = Dataset(np.column_stack([np.full(n, cid), np.arange(n)]), np.zeros(n, dtype=np.int64))
-        if cid == 3:
-            clients.append(ClientSpec(cid, rows, 100, Behavior.LABEL_SHIFT))
-        else:
-            clients.append(ClientSpec(cid, rows, n))
+    sizes = (3, 4, 5, 6)
+    rows = np.column_stack([np.repeat(np.arange(4), sizes), np.concatenate([np.arange(n) for n in sizes])])
+    clients = population(Dataset(rows, np.zeros(len(rows), dtype=np.int64)), sizes,
+                         {3: 100}, {3: Behavior.LABEL_SHIFT})
     for mode, use_all, budget in (
         (Passthrough(), False, [3, 4, 5, 6]),
         (Ignore(), False, [1, 1, 1, 1]),
@@ -871,9 +900,7 @@ def test_sample_budget_is_the_preprocessed_weight():
 def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
     # two runs start a round from 0.0 and -0.0: equal values, different bytes,
     # so they train apart, and every run ends with the bytes it has alone
-    clients = [ClientSpec(0, scalar_data(-0.0), 1),
-               ClientSpec(1, scalar_data(1.0), 3, Behavior.MODEL_NEGATION),
-               ClientSpec(2, scalar_data(-1.0), 1)]
+    clients = population(scalar_data(-0.0, 1.0, -1.0), [1, 1, 1], {1: 3}, {1: Behavior.MODEL_NEGATION})
     cfgs = [toy_config(rounds=4, eta=1.0, preprocess=p, aggregator=a)
             for p in (Passthrough(), Ignore())
             for a in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1), TrimmedMean(0.3))]
@@ -914,8 +941,7 @@ def test_norm_at_the_float_tails():
 def test_round_metrics_report_a_tiny_aggregate_norm():
     # a liar declaring 10^308 under passthrough x mean scales the honest
     # update by about 10^-309, and its square underflowed to a norm of 0
-    clients = [ClientSpec(0, scalar_data(1.0), 1),
-               ClientSpec(1, scalar_data(1.0), 10**308, Behavior.MODEL_NEGATION)]
+    clients = population(scalar_data(1.0, 1.0), [1, 1], {1: 10**308}, {1: Behavior.MODEL_NEGATION})
     [(w, metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(1.0), [toy_config()])
     assert 0 < abs(w[0]) < 1e-300
     assert metrics[0].aggregate_norm == abs(w[0])
@@ -924,32 +950,14 @@ def test_round_metrics_report_a_tiny_aggregate_norm():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_flagged_and_terminal():
     model = ScalarQuadratic()
-    client = ClientSpec(0, scalar_data(1.0), 1)
+    client = population(scalar_data(1.0), [1])
     test = scalar_data(1.0)
     cfg = toy_config(rounds=500, eta=1000.0)
-    [(w, metrics)] = run_training(model, [client], test, [cfg])
+    [(w, metrics)] = run_training(model, client, test, [cfg])
     assert math.isnan(metrics[-1].test_accuracy) and math.isnan(metrics[-1].test_loss)
     assert len(metrics) < 500
     assert not any(math.isnan(m.test_accuracy) or math.isnan(m.test_loss) for m in metrics[:-1])
     assert not np.all(np.isfinite(w))
-
-
-def test_duplicate_or_gapped_ids_rejected():
-    c = scalar_data(1.0)
-    with pytest.raises(ValueError):
-        run_training(
-            ScalarQuadratic(),
-            [ClientSpec(0, c, 1), ClientSpec(0, c, 1)],
-            c,
-            [toy_config()],
-        )
-    with pytest.raises(ValueError):
-        run_training(
-            ScalarQuadratic(),
-            [ClientSpec(1, c, 1), ClientSpec(3, c, 1)],
-            c,
-            [toy_config()],
-        )
 
 
 def test_metrics_csv_shape():

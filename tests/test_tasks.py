@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from byzweight.engine import Behavior, Clients
 from byzweight.tasks import (
     Dataset,
     InfeasibleTotal,
@@ -101,34 +103,36 @@ def test_blob_classes_are_linearly_separable():
 
 def test_split_by_sizes_exact_and_disjoint():
     ds = generate_blobs(100, dim=4, classes=2, seed=1)
-    shards = split_by_sizes(ds, [10, 30, 60], seed=5)
-    assert [len(s) for s in shards] == [10, 30, 60]
+    data, sizes = split_by_sizes(ds, [10, 30, 60], seed=5)
+    shards = [c.data for c in Clients(data, sizes, sizes, [Behavior.HONEST] * 3)]
+    assert sizes.dtype == np.int64 and [len(s) for s in shards] == [10, 30, 60]
     stacked = np.vstack([s.features for s in shards])
     assert stacked.shape == ds.features.shape
     # every original row appears exactly once across shards
     order = np.lexsort(stacked.T)
     base = np.lexsort(ds.features.T)
     assert np.allclose(stacked[order], ds.features[base])
-    again = split_by_sizes(ds, [10, 30, 60], seed=5)
-    assert all(
-        np.array_equal(a.features, b.features) for a, b in zip(shards, again)
-    )
-    with pytest.raises(SizeMismatch):
-        split_by_sizes(ds, [10, 30], seed=5)
+    again, _ = split_by_sizes(ds, [10, 30, 60], seed=5)
+    assert np.array_equal(data.features, again.features)
+    with pytest.raises(SizeMismatch, match="^sizes sum to 40 but the dataset holds 100 rows$"):
+        Clients(*split_by_sizes(ds, [10, 30], seed=5), [10, 30], [Behavior.HONEST] * 2)
 
 
 def test_split_by_sizes_hands_out_views_of_one_shuffle():
-    # shard i is rows perm[start:start + size] of the seed's permutation, as
-    # its own gather made them, and all shards share the one shuffled copy
+    # client i's rows are perm[start:start + size] of the seed's permutation,
+    # as its own gather made them, and every client's rows are a view of the
+    # one shuffled copy
     ds = generate_blobs(50, dim=4, classes=3, seed=2)
     sizes = [1, 7, 1, 30, 11]
-    shards = split_by_sizes(ds, sizes, seed=9)
+    data, got = split_by_sizes(ds, sizes, seed=9)
+    assert got.tolist() == sizes
     perm = np.random.default_rng(9).permutation(50)
     ends = np.cumsum(sizes)
-    for shard, start, end in zip(shards, ends - sizes, ends):
-        assert shard.features.tobytes() == ds.features[perm[start:end]].tobytes()
-        assert shard.labels.tobytes() == ds.labels[perm[start:end]].tobytes()
-        assert shard.features.base is shards[0].features.base is not None
+    for client, start, end in zip(Clients(data, got, got, [Behavior.HONEST] * 5), ends - sizes, ends):
+        assert client.data.features.tobytes() == ds.features[perm[start:end]].tobytes()
+        assert client.data.labels.tobytes() == ds.labels[perm[start:end]].tobytes()
+        assert client.data.features.base is data.features
+        assert client.data.labels.base is data.labels
 
 
 def test_subset_by_indices_mask_and_stack():
@@ -405,7 +409,7 @@ def test_stacked_dataset_shapes():
 def test_global_objective_decomposes_over_clients():
     ds = generate_blobs(3_000, dim=6, classes=4, seed=17)
     sizes = generate_partition(PartitionSpec(3_000, 25, seed=6))
-    shards = split_by_sizes(ds, sizes, seed=7)
+    shards = oracles.shards(*split_by_sizes(ds, sizes, seed=7))
     model = SoftmaxRegression(dim=6, classes=4)
     w = np.random.default_rng(3).standard_normal(model.param_count)
     whole = model.loss(w, ds)
@@ -419,7 +423,7 @@ def test_global_objective_decomposes_over_clients():
 def _gap_instance(rng, k=8, liars=1, inflation=10**6):
     sizes = [int(x) for x in rng.integers(20, 100, size=k)]
     ds = generate_blobs(sum(sizes), dim=5, classes=3, seed=int(rng.integers(1e9)))
-    shards = split_by_sizes(ds, sizes, seed=int(rng.integers(1e9)))
+    shards = oracles.shards(*split_by_sizes(ds, sizes, seed=int(rng.integers(1e9))))
     declared = [len(s) for s in shards]
     for i in rng.choice(k, size=liars, replace=False):
         declared[i] = inflation + int(rng.integers(0, 1000))
