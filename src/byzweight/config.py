@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Union, get_type_hints
 
-from .engine import (Behavior, TrainConfig, TrimmedMean, WeightedMean, WeightedMedian,
-                     participants_per_round)
+from .engine import (Aggregator, Behavior, TrainConfig, TrimmedMean, WeightedMean,
+                     WeightedMedian, participants_per_round)
 from .tasks import OneHiddenMLP, PartitionSpec, SoftmaxRegression
-from .weights import Ignore, Passthrough, Truncate, TruncationQuery
+from .weights import Ignore, Passthrough, PreprocessMode, Truncate, TruncationQuery
 
 # One table per cell axis: token -> the object it builds from the config.
 # Key order is the default grid order, and so the row order of summary.csv.
@@ -112,7 +112,8 @@ class ExperimentConfig:
         # restated here.
         try:
             self.partition()
-            query = self.train_config("truncate", "trimmed").preprocess.query
+            self.train_config()
+            query = self.cell("truncate", "trimmed")[0].query
             _MODELS["mlp"](self)
             participants_per_round(self.clients_per_round, self.clients)
         except ValueError as exc:
@@ -135,13 +136,14 @@ class ExperimentConfig:
         count = max(1, round(self.attacker_fraction * self.clients)) if fraction else 1
         return behavior, count, self.declared_fraction if fraction else self.declared_single
 
-    def train_config(self, preprocess: str, aggregator: str) -> TrainConfig:
-        """The TrainConfig of the grid cell with these preprocess and aggregator tokens."""
-        return TrainConfig(
-            self.rounds, self.eta, self.epochs, self.batch_size,
-            _PREPROCESS[preprocess](self), _AGGREGATORS[aggregator](self),
-            self.clients_per_round, self.honest_use_all_samples, self.master_seed,
-        )
+    def train_config(self) -> TrainConfig:
+        """The TrainConfig every grid cell trains under."""
+        return TrainConfig(self.rounds, self.eta, self.epochs, self.batch_size,
+                           self.clients_per_round, self.honest_use_all_samples, self.master_seed)
+
+    def cell(self, preprocess: str, aggregator: str) -> tuple[PreprocessMode, Aggregator]:
+        """The preprocess mode and aggregator that these grid tokens name."""
+        return _PREPROCESS[preprocess](self), _AGGREGATORS[aggregator](self)
 
 
 def _check_tokens(values, allowed, what) -> None:

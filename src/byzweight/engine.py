@@ -9,20 +9,21 @@ labels.  All randomness is drawn from streams keyed on
 how client work is scheduled.  A population is arrays (Clients), and a
 client's id is its position in them.
 
-run_training trains runs that differ only in preprocess mode and aggregator
-in lockstep: a round's selection, shuffles and batch schedule (round_plan)
-are built once, and each distinct model trains once (client_update, whose
-clients step in lockstep too, which changes no bit) into one matrix in
-ascending client id.  The median and trimmed mean rank client-major copies
-of it, a cache-sized block of columns at a time, ties in client order
-(_rank): one int64 sort of keys that pack a value's high bits above its
-client id, and a stable argsort of the few rows that come out of order.
-The ranking reads no weight, so runs of one aggregator kind share it.
+run_training trains cells of one TrainConfig, which differ only in preprocess
+mode and aggregator, in lockstep: one selection a round, one round_plan (its
+shuffles and batch schedule) per set of usable rows, and each distinct model
+trains once (client_update, whose clients step in lockstep too, which
+changes no bit) into one matrix in ascending client id.  The median and
+trimmed mean rank client-major copies of it, a cache-sized block of
+columns at a time, ties in client order (_rank): one int64 sort of keys that
+pack a value's high bits above its client id, and a stable argsort of the
+few rows that come out of order.  The ranking reads no weight, so runs of
+one aggregator kind share it.
 
 A stream is built only where something is drawn from it: the init stream
-once per row group; the select stream in a round where only some clients
-take part; the subset stream once per row group for each client that trains
-on fewer rows than it holds (keyed on the client alone); and per (round,
+once per run; the select stream in a round where only some clients take
+part; the subset stream once per set of usable rows for each client that
+trains on fewer rows than it holds (keyed on the client alone); and per (round,
 training client) the shuffle stream when it trains on more than one row,
 and per distinct model the dropout stream when dropout_rate > 0.  Each
 purpose has its own tag, so a stream left unbuilt changes no other draw.
@@ -33,10 +34,11 @@ same numbers.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
@@ -198,15 +200,14 @@ Aggregator = Union[WeightedMean, WeightedMedian, TrimmedMean]
 
 @dataclass
 class TrainConfig:
-    """Server-side knobs; batch_size is an absolute count, or a fraction of
-    each client's usable samples when given as a float in (0, 1]."""
+    """Server-side knobs every cell of a lockstep run shares; batch_size is an
+    absolute count, or a fraction of each client's usable samples when given
+    as a float in (0, 1]."""
 
     rounds: int
     eta: float
     epochs: int
     batch_size: Union[int, float]
-    preprocess: PreprocessMode
-    aggregator: Aggregator
     clients_per_round: Optional[Union[int, float]] = None
     honest_use_all_samples: bool = True
     master_seed: int = 0
@@ -247,21 +248,20 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_pool(model, clients: Clients, cfg: TrainConfig, weight):
+def _row_pool(model, clients: Clients, cfg: TrainConfig, n: np.ndarray):
     """The rows each client trains on in every round, with each client's
-    first row in them and its row count: none for a model-negation attacker;
-    under label shift, labels y become (classes-1)-y in a copy of the labels.
-    Under honest_use_all_samples that is clients.data's own features; without
-    it, a fixed subset of min(weight, rows held) of each client's rows."""
+    first row in them and its row count: none for a model-negation attacker,
+    else its n usable rows; under label shift, labels y become (classes-1)-y
+    in a copy of the labels.  Under honest_use_all_samples that is
+    clients.data's own features; without it, a fixed subset of each client's rows."""
     data, size = clients.data, clients.size
-    n = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, size)
+    n = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, n)
     shift = np.repeat(clients.behavior == Behavior.LABEL_SHIFT, size)
     if shift.any():
         labels = np.where(shift, (model.classes - 1) - data.labels, data.labels)
         data = Dataset(data.features, labels)
     if cfg.honest_use_all_samples:
         return data, clients.start, n
-    n = np.array([*map(min, weight, n.tolist())], dtype=np.int64)
     rows = np.repeat(n == size, size)
     for i in np.flatnonzero((0 < n) & (n < size)).tolist():
         pick = stream(cfg.master_seed, _TAG_SUBSET, i).permutation(size[i])[:n[i]]
@@ -511,56 +511,63 @@ def _norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w * scale)) / scale  # a norm beyond the float range is inf
 
 
-def run_training(model, clients: Clients, testset: Dataset,
-                 cfgs: Sequence[TrainConfig]) -> list[tuple[Optional[np.ndarray], list]]:
-    """Train one model per config on the same clients, in lockstep; returns
-    each config's final parameters and per-round metrics, or (None, []) when
-    its preprocess mode is infeasible.
+def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
+                 cells: Sequence[tuple[PreprocessMode, Aggregator]]
+                 ) -> list[tuple[Optional[np.ndarray], list]]:
+    """Train one model per (preprocess mode, aggregator) cell under cfg, in
+    lockstep from one initial model (drawn if any cell is feasible) and one
+    selection a round; returns each cell's final parameters and per-round
+    metrics, or (None, []) when its preprocess mode is infeasible.
 
-    Configs equal but for preprocess mode, aggregator and rounds whose weights
-    allow the same rows (always, under honest_use_all_samples) form a row
-    group: one row pool (_row_pool) and initial model, and per round one
-    selection and round_plan.  Its models that are byte-equal at a round's
-    start train once into one (m, P) matrix, which each aggregator kind reads
-    once for the stack of their weight rows.  A non-finite aggregate ends a
-    run on NaN metrics.
+    Cells whose clients have the same usable rows (all held under
+    honest_use_all_samples, else min(weight, rows held)) form a row group: one
+    row pool (_row_pool), and one round_plan a round.  Its models that are
+    byte-equal at a round's start train once into one (m, P) matrix, which
+    each aggregator kind reads once for the stack of their weight rows.  Each
+    distinct model is evaluated once a run, keyed on a digest of its bytes
+    (the bytes of every round's models would grow with the rounds); a
+    non-finite one ends its runs on NaN metrics.
     """
     sizes = clients.size.tolist()
-    groups, cells = {}, []  # row group: (pool, offset, n), initial model, config
-    for cfg in cfgs:
-        cells.append(cell := SimpleNamespace(cfg=cfg, w=None, metrics=[]))
+    pools, runs = {}, []  # pools: usable rows -> (pool, offset, n)
+    for mode, kind in cells:
+        runs.append(run := SimpleNamespace(kind=kind, rows=None, w=None, metrics=[]))
         try:
-            cell.weight = preprocess(clients.declared, cfg.preprocess)
+            run.weight = preprocess(clients.declared, mode)
         except PreprocessInfeasible:
             continue  # the run never starts
-        rows = cfg.honest_use_all_samples or np.array([*map(min, cell.weight, sizes)]).tobytes()
-        cell.group = repr(replace(cfg, rounds=0, preprocess=None, aggregator=None)), rows
-        if cell.group not in groups:
-            pool = _row_pool(model, clients, cfg, cell.weight)
-            groups[cell.group] = pool, model.init_params(stream(cfg.master_seed, _TAG_INIT)), cfg
-        cell.w = groups[cell.group][1]
-    live = [c for c in cells if c.w is not None]
-    for t in range(1, max((c.cfg.rounds for c in live), default=0) + 1):
-        live = [c for c in live if t <= c.cfg.rounds]
-        plans, runs = {}, {}  # runs: (row group, model bytes) -> model, cells by aggregator
-        for c in live:
-            _, kinds = runs.setdefault((c.group, c.w.tobytes()), (c.w, {}))
-            kinds.setdefault(c.cfg.aggregator, []).append(c)
-        for (group, _), (w, kinds) in runs.items():
-            (pool, offset, n), _, cfg = groups[group]
-            if group not in plans:  # a round's selection, plan and (m, P) updates matrix
-                at = np.array(select_clients(t, len(n), cfg.clients_per_round, cfg.master_seed))
-                plan = round_plan(at, offset[at], n[at], cfg, t)
-                plans[group] = at.tolist(), plan, np.empty((len(at), len(w)))
-            at, plan, updates = plans[group]
+        n = clients.size if cfg.honest_use_all_samples else np.array([*map(min, run.weight, sizes)])
+        run.rows = n.tobytes()
+        if run.rows not in pools:
+            pools[run.rows] = _row_pool(model, clients, cfg, n)
+    live = [r for r in runs if r.rows is not None]
+    w0 = model.init_params(stream(cfg.master_seed, _TAG_INIT)) if live else None
+    for r in live:
+        r.w = w0
+    evals = {}  # sha256 of a model's bytes -> its test accuracy, test loss and norm
+    for t in range(1, cfg.rounds + 1):
+        if not live:
+            break
+        at = np.array(select_clients(t, len(sizes), cfg.clients_per_round, cfg.master_seed))
+        ids, plans, starts = at.tolist(), {}, {}  # starts: (rows, bytes) -> model, runs by kind
+        for r in live:
+            _, kinds = starts.setdefault((r.rows, r.w.tobytes()), (r.w, {}))
+            kinds.setdefault(r.kind, []).append(r)
+        for (rows, _), (w, kinds) in starts.items():
+            pool, offset, n = pools[rows]
+            if rows not in plans:  # a row group's plan and (m, P) updates matrix
+                plans[rows] = round_plan(at, offset[at], n[at], cfg, t), np.empty((len(at), len(w)))
+            plan, updates = plans[rows]
             client_update(model, w, plan, pool, updates)
             for kind, same in kinds.items():
-                stack = aggregate(kind, updates, [[c.weight[i] for i in at] for c in same])
-                for c, aggregated in zip(same, stack):
-                    c.w = aggregated
-        for c in live:
-            ok = np.all(np.isfinite(c.w))  # else the run ends on a NaN accuracy and loss
-            c.metrics.append(RoundMetrics(t, accuracy(model, c.w, testset) if ok else math.nan,
-                                          model.loss(c.w, testset) if ok else math.nan, _norm(c.w)))
-        live = [c for c in live if np.all(np.isfinite(c.w))]
-    return [(c.w, c.metrics) for c in cells]
+                stack = aggregate(kind, updates, [[r.weight[i] for i in ids] for r in same])
+                for r, aggregated in zip(same, stack):
+                    r.w = aggregated
+        for r in live:
+            if (key := hashlib.sha256(r.w.tobytes()).digest()) not in evals:
+                ok = np.all(np.isfinite(r.w))  # else the run ends on a NaN accuracy and loss
+                evals[key] = (accuracy(model, r.w, testset) if ok else math.nan,
+                              model.loss(r.w, testset) if ok else math.nan, _norm(r.w))
+            r.metrics.append(RoundMetrics(t, *evals[key]))
+        live = [r for r in live if np.all(np.isfinite(r.w))]
+    return [(r.w, r.metrics) for r in runs]

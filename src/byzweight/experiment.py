@@ -5,9 +5,9 @@ Cells share the same data, partition, and master seed, so any difference
 between their metric files comes from the cell axes alone.  The task, and
 each scenario's clients, are built once per grid and handed to every cell;
 a cell draws only from its own seeded streams, which keeps parallel runs
-byte-identical to sequential ones.  In this process, the cells of a
-scenario train as one lockstep group (run_training), which shares what
-they compute alike and changes no byte of any cell.
+byte-identical to sequential ones.  In this process, a scenario's cells
+train as one lockstep run (run_training), which shares what they compute
+alike and changes no byte of any cell.
 """
 
 from __future__ import annotations
@@ -38,20 +38,10 @@ SUMMARY_HEADER = "preprocess,aggregator,attack,final_accuracy"
 
 def build_task(cfg: ExperimentConfig):
     """The shuffled training rows and each shard's size, and the held-out test set."""
-    train = generate_blobs(
-        cfg.train_samples,
-        cfg.dim,
-        cfg.classes,
-        seed=(cfg.master_seed, _TAG_TRAIN_DATA),
-        separation=cfg.separation,
-    )
-    test = generate_blobs(
-        cfg.test_samples,
-        cfg.dim,
-        cfg.classes,
-        seed=(cfg.master_seed, _TAG_TEST_DATA),
-        separation=cfg.separation,
-    )
+    train, test = (generate_blobs(n, cfg.dim, cfg.classes, seed=(cfg.master_seed, tag),
+                                  separation=cfg.separation)
+                   for n, tag in [(cfg.train_samples, _TAG_TRAIN_DATA),
+                                  (cfg.test_samples, _TAG_TEST_DATA)])
     sizes = generate_partition(cfg.partition(seed=(cfg.master_seed, _TAG_PARTITION)))
     return split_by_sizes(train, sizes, seed=(cfg.master_seed, _TAG_SPLIT)), test
 
@@ -87,15 +77,10 @@ class CellResult:
         return self.metrics[-1].test_accuracy if self.metrics else math.nan
 
 
-def run_cell(cfg: ExperimentConfig, clients, test, preprocess: str, aggregator: str,
-             attack: str) -> CellResult:
-    """Train one cell on build_clients(cfg, attack, shards) and the test set
-    of the task that build_task(cfg) returned: a lockstep group of one."""
-    return _run_scenario(cfg, clients, test, [(preprocess, aggregator, attack)])[0]
-
-
 def _run_scenario(cfg: ExperimentConfig, clients, test, cells) -> list[CellResult]:
-    runs = run_training(cfg.model(), clients, test, [cfg.train_config(p, a) for p, a, _ in cells])
+    """Train cells of one attack scenario in lockstep on its clients and the test set."""
+    runs = run_training(cfg.model(), clients, test, cfg.train_config(),
+                        [cfg.cell(p, a) for p, a, _ in cells])
     return [CellResult(p, a, s, tuple(metrics)) for (p, a, s), (_, metrics) in zip(cells, runs)]
 
 
@@ -134,17 +119,18 @@ def _init_worker(clients, test) -> None:
 
 def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str):
     clients, test = _worker_task
-    return run_cell(cfg, clients[attack], test, preprocess, aggregator, attack)
+    return _run_scenario(cfg, clients[attack], test, [(preprocess, aggregator, attack)])[0]
 
 
 def run_cells(cfg: ExperimentConfig, clients, test, cells, jobs: int = 1) -> list[CellResult]:
     """Each (preprocess, aggregator, attack) cell's result on clients[attack] and test,
     in the order of cells.
 
-    jobs > 1 forks min(jobs, cells) pool workers, which get clients and test
-    once, run one BLAS thread and one cell a task, a lockstep group of one.
+    Both train through _run_scenario.  jobs > 1 forks min(jobs, cells) pool
+    workers, which get clients and test once, run one BLAS thread and one
+    cell a task (a scenario a task would serialise a one-scenario grid).
     jobs = 1 keeps this process's BLAS setting and trains each scenario's
-    cells as one lockstep group, in one run_training call.
+    cells as one lockstep run.
     """
     if jobs > 1:  # a forked pool starts all its workers at once
         workers = min(jobs, len(cells))

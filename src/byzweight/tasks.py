@@ -44,7 +44,7 @@ class PartitionSpec:
             raise ValueError("partition mu and sigma must be finite, and sigma non-negative")
 
 
-def _largest_remainder(raw: np.ndarray, total: int, floor: int) -> list[int]:
+def _largest_remainder(raw: np.ndarray, total: int, floor: int) -> np.ndarray:
     # floor goes to everyone first; the spare mass is split proportionally,
     # fractional parts resolved largest-first (stable on ties)
     k = len(raw)
@@ -55,11 +55,11 @@ def _largest_remainder(raw: np.ndarray, total: int, floor: int) -> list[int]:
     missing = spare - int(base.sum())
     order = np.argsort(-remainder, kind="stable")
     base[order[:missing]] += 1
-    return [floor + int(b) for b in base]
+    return base + floor
 
 
-def generate_partition(spec: PartitionSpec) -> list[int]:
-    """Lognormal client sizes scaled to sum exactly to the sample budget.
+def generate_partition(spec: PartitionSpec) -> np.ndarray:
+    """Lognormal client sizes (int64) scaled to sum exactly to the sample budget.
 
     Every client receives at least one sample; sizes come in draw order.
     """

@@ -37,7 +37,6 @@ from byzweight.experiment import (
     build_task,
     grid_cells,
     metrics_filename,
-    run_cell,
     run_grid,
 )
 from byzweight.tasks import (OneHiddenMLP, PartitionSpec, SoftmaxRegression, generate_blobs,
@@ -215,10 +214,7 @@ BOUNDARY_CASES = [
 
 
 def _train_config(**kw):
-    base = dict(
-        rounds=1, eta=0.1, epochs=1, batch_size=1, preprocess=Passthrough(), aggregator=WeightedMean()
-    )
-    return TrainConfig(**{**base, **kw})
+    return TrainConfig(**{**dict(rounds=1, eta=0.1, epochs=1, batch_size=1), **kw})
 
 
 # the library calls that take each value besides the config, all raising ValueError
@@ -321,14 +317,15 @@ def test_every_token_builds_its_object():
     aggregators = {"mean": WeightedMean(), "median": WeightedMedian(), "trimmed": TrimmedMean(0.25)}
     assert set(preprocess) == set(cfg.preprocess_modes)
     assert set(aggregators) == set(cfg.aggregator_kinds)
+    built = cfg.train_config()
+    assert (built.rounds, built.eta, built.epochs, built.batch_size) == (100, 0.3, 1, 50)
+    assert (built.clients_per_round, built.honest_use_all_samples, built.master_seed) == (
+        None, True, 0)
     for p, mode in preprocess.items():
         for a, aggregator in aggregators.items():
-            built = cfg.train_config(p, a)
-            assert type(built.preprocess) is type(mode) and built.preprocess == mode
-            assert type(built.aggregator) is type(aggregator) and built.aggregator == aggregator
-            assert (built.rounds, built.eta, built.epochs, built.batch_size) == (100, 0.3, 1, 50)
-            assert (built.clients_per_round, built.honest_use_all_samples, built.master_seed) == (
-                None, True, 0)
+            built_mode, built_aggregator = cfg.cell(p, a)
+            assert type(built_mode) is type(mode) and built_mode == mode
+            assert type(built_aggregator) is type(aggregator) and built_aggregator == aggregator
     assert cfg.model() == SoftmaxRegression(20, 10)
     mlp = parse_config("[model]\nkind = mlp\nhidden = 7\ndropout = 0.5\n").model()
     assert type(mlp) is OneHiddenMLP and mlp == OneHiddenMLP(20, 7, 10, 0.5)
@@ -337,9 +334,9 @@ def test_every_token_builds_its_object():
 def test_unknown_token_raises_instead_of_a_default():
     cfg = ExperimentConfig()
     with pytest.raises(KeyError):
-        cfg.train_config("squash", "mean")
+        cfg.cell("squash", "mean")
     with pytest.raises(KeyError):
-        cfg.train_config("truncate", "krum")
+        cfg.cell("truncate", "krum")
     cfg.model_kind = "cnn"
     with pytest.raises(KeyError):
         cfg.model()
@@ -391,21 +388,23 @@ def test_grid_layout_and_filenames():
     assert metrics_filename(*cells[0]) == "metrics_passthrough_mean_none.csv"
 
 
-def test_run_cell_trains_what_the_config_builds(monkeypatch):
+def test_a_cell_trains_what_the_config_builds(monkeypatch):
+    # one cell, as a pool worker runs it: a lockstep run of one
     cfg = parse_config(SMALL + "[model]\nkind = mlp\nhidden = 5\n")
     shards, test = build_task(cfg)
     seen = []
 
-    def spy(model, clients, test_set, train_cfgs):
-        seen.append((model, clients, test_set, train_cfgs))
+    def spy(model, clients, test_set, train_cfg, cells):
+        seen.append((model, clients, test_set, train_cfg, cells))
         return [(None, [])]
 
     monkeypatch.setattr(experiment, "run_training", spy)
     for p, a, s in grid_cells(cfg):
         clients = build_clients(cfg, s, shards)
-        assert run_cell(cfg, clients, test, p, a, s) == experiment.CellResult(p, a, s, ())
-        model, got_clients, got_test, train_cfgs = seen.pop()
-        assert (model, train_cfgs) == (cfg.model(), [cfg.train_config(p, a)])  # a group of one
+        got = experiment._run_scenario(cfg, clients, test, [(p, a, s)])
+        assert got == [experiment.CellResult(p, a, s, ())]
+        model, got_clients, got_test, train_cfg, cells = seen.pop()
+        assert (model, train_cfg, cells) == (cfg.model(), cfg.train_config(), [cfg.cell(p, a)])
         assert got_clients is clients and got_test is test
 
 
@@ -464,9 +463,9 @@ def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
     cfg = parse_config(SMALL)
     calls, groups, update, train = [], [], engine.client_update, experiment.run_training
 
-    def train_spy(model, clients, test, train_cfgs):
-        groups.append(len(train_cfgs))
-        return train(model, clients, test, train_cfgs)
+    def train_spy(model, clients, test, train_cfg, train_cells):
+        groups.append(len(train_cells))
+        return train(model, clients, test, train_cfg, train_cells)
 
     def update_spy(model, w, plan, *rest):
         calls.append((cfg.scenarios[len(groups) - 1], plan.round, w.tobytes()))
@@ -498,7 +497,7 @@ def test_in_process_cells_equal_cells_run_alone():
     results = experiment.run_cells(cfg, clients, test, cells, jobs=1)
     assert [(r.preprocess, r.aggregator, r.attack) for r in results] == cells
     for r, (p, a, s) in zip(results, cells):
-        alone = run_cell(cfg, clients[s], test, p, a, s)
+        [alone] = experiment._run_scenario(cfg, clients[s], test, [(p, a, s)])
         assert len(r.metrics) == cfg.rounds
         assert metrics_to_csv(r.metrics) == metrics_to_csv(alone.metrics)
 
@@ -562,13 +561,13 @@ def test_lockstep_cells_equal_cells_run_alone(monkeypatch):
     alone = {}
     for p, a, s in cells:
         where[0] = (p, a, s)
-        alone[p, a, s] = run_cell(cfg, clients[s], test, p, a, s)
+        [alone[p, a, s]] = experiment._run_scenario(cfg, clients[s], test, [(p, a, s)])
     alone_starts, alone_ranked = starts[:], ranked[:]
     starts.clear(), ranked.clear()
 
-    def train_spy(model, scenario_clients, test_set, train_cfgs):
+    def train_spy(model, scenario_clients, test_set, train_cfg, train_cells):
         where[0] = next(s for s in cfg.scenarios if clients[s] is scenario_clients)
-        return train(model, scenario_clients, test_set, train_cfgs)
+        return train(model, scenario_clients, test_set, train_cfg, train_cells)
 
     monkeypatch.setattr(experiment, "run_training", train_spy)
     results = experiment.run_cells(cfg, clients, test, cells, jobs=1)

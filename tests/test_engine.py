@@ -87,7 +87,10 @@ def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
     """client_update of the chosen clients (all by default) over the row pool
     run_training builds for these weights (by default the declared counts)."""
     weight = clients.declared if weight is None else weight
-    pool, offset, count = engine._row_pool(model, clients, cfg, weight)
+    usable = clients.size
+    if not cfg.honest_use_all_samples:
+        usable = np.array([*map(min, weight, usable.tolist())])
+    pool, offset, count = engine._row_pool(model, clients, cfg, usable)
     at = np.arange(len(clients)) if chosen is None else np.array(chosen, dtype=np.int64)
     updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
     plan = round_plan(at, offset[at], count[at], cfg, round_index)
@@ -105,12 +108,13 @@ def toy_config(**kw):
         eta=0.1,
         epochs=1,
         batch_size=1,
-        preprocess=Passthrough(),
-        aggregator=WeightedMean(),
         master_seed=0,
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+PLAIN = [(Passthrough(), WeightedMean())]  # one cell: passthrough weights, weighted mean
 
 
 # ------------------------------------------------------------- client update
@@ -195,7 +199,7 @@ def test_streams_built_only_where_drawn(monkeypatch, model, drops):
     clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
                          {4: 50}, {4: Behavior.LABEL_SHIFT})
     cfg = toy_config(rounds=2, epochs=2, batch_size=2, master_seed=9)
-    run_training(model, clients, clients[0].data, [cfg])
+    run_training(model, clients, clients[0].data, cfg, PLAIN)
 
     def keys_of(tag):
         return sorted(k[2:] for k in built if k[:2] == (9, tag))
@@ -268,8 +272,8 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
     clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=5, classes=3, seed=4), sizes, seed=5),
                          {cid: 100 for cid in odd}, odd)
     cfg = toy_config(rounds=6, eta=0.3, epochs=2, batch_size=2, clients_per_round=7,
-                     preprocess=Truncate(TruncationQuery("1/4", "1/3")),  # cap 3
                      honest_use_all_samples=False, master_seed=12)
+    mode = Truncate(TruncationQuery("1/4", "1/3"))  # cap 3
     seen, update = [], engine.client_update
 
     def spy(model, w, plan, *rest):
@@ -277,8 +281,8 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(engine, "client_update", spy)
-    run_training(model, clients, clients[0].data, [cfg])
-    weight = preprocess(clients.declared, cfg.preprocess)
+    run_training(model, clients, clients[0].data, cfg, [(mode, WeightedMean())])
+    weight = preprocess(clients.declared, mode)
     rows = [training_rows(model, c, cfg, weight[c.id]) for c in clients]
     assert any(0 < len(r) < len(c.data) for r, c in zip(rows, clients))  # subsets in use
     assert len(seen) == 6 and all(ids != list(range(7)) for _, ids, _ in seen)
@@ -344,8 +348,9 @@ def test_fixed_subset_built_once_per_run(monkeypatch):
     sizes = (1, 4, 1, 7, 2, 5)
     clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
                          {5: 9}, {5: Behavior.MODEL_NEGATION})
-    cfg = toy_config(rounds=3, preprocess=Ignore(), honest_use_all_samples=False, master_seed=9)
-    run_training(SoftmaxRegression(dim=4, classes=3), clients, clients[0].data, [cfg])
+    cfg = toy_config(rounds=3, honest_use_all_samples=False, master_seed=9)
+    run_training(SoftmaxRegression(dim=4, classes=3), clients, clients[0].data, cfg,
+                 [(Ignore(), WeightedMean())])
     subsets = sorted(k[2:] for k in built if k[:2] == (9, engine._TAG_SUBSET))
     assert subsets == [(cid,) for cid, n in enumerate(sizes) if n > 1 and cid != 5]
 
@@ -367,7 +372,7 @@ def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
     for shifted in ({}, {2: Behavior.LABEL_SHIFT}):
         pools.clear()
         clients = population(*data, {i: 50 for i in shifted}, shifted)
-        run_training(model, clients, clients[0].data, [toy_config(rounds=2)])
+        run_training(model, clients, clients[0].data, toy_config(rounds=2), PLAIN)
         assert len(pools) == 2 and pools[0] is pools[1]
         pool = pools[0]
         assert np.shares_memory(pool.features, clients.data.features)
@@ -799,7 +804,7 @@ def test_zero_rounds_returns_initial_model():
     clients = blob_clients()
     test = generate_blobs(100, dim=6, classes=3, seed=9)
     cfg = toy_config(rounds=0, batch_size=16)
-    [(w, metrics)] = run_training(model, clients, test, [cfg])
+    [(w, metrics)] = run_training(model, clients, test, cfg, PLAIN)
     assert metrics == []
     assert np.array_equal(w, np.zeros(model.param_count))
 
@@ -809,8 +814,8 @@ def test_training_is_deterministic_and_learns():
     clients = blob_clients()
     test = generate_blobs(300, dim=6, classes=3, seed=10)
     cfg = toy_config(rounds=15, eta=0.3, batch_size=16, master_seed=5)
-    [(w1, m1)] = run_training(model, clients, test, [cfg])
-    [(w2, m2)] = run_training(model, clients, test, [cfg])
+    [(w1, m1)] = run_training(model, clients, test, cfg, PLAIN)
+    [(w2, m2)] = run_training(model, clients, test, cfg, PLAIN)
     assert np.array_equal(w1, w2)
     assert m1 == m2
     assert len(m1) == 15
@@ -842,14 +847,10 @@ def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
     clients = blob_clients(behavior_map={2: Behavior.MODEL_NEGATION})
     test = generate_blobs(60, dim=6, classes=3, seed=11)
     seen = spy_aggregation(monkeypatch)
-    cfg = toy_config(
-        rounds=3,
-        batch_size=16,
-        preprocess=Truncate(TruncationQuery("1/6", "1/3")),
-        clients_per_round=4,
-    )
-    run_training(model, clients, test, [cfg])
-    expected = preprocess([c.declared_size for c in clients], cfg.preprocess)
+    cfg = toy_config(rounds=3, batch_size=16, clients_per_round=4)
+    mode = Truncate(TruncationQuery("1/6", "1/3"))
+    run_training(model, clients, test, cfg, [(mode, WeightedMean())])
+    expected = preprocess([c.declared_size for c in clients], mode)
     assert len(seen) == 3
     for t, ids, weights in seen:
         assert weights == tuple(expected[i] for i in ids)
@@ -861,8 +862,8 @@ def test_ignore_mode_weights_everyone_equally(monkeypatch):
     clients = blob_clients(behavior_map={1: Behavior.MODEL_NEGATION})
     test = generate_blobs(60, dim=6, classes=3, seed=12)
     seen = spy_aggregation(monkeypatch)
-    cfg = toy_config(rounds=1, batch_size=16, preprocess=Ignore())
-    run_training(model, clients, test, [cfg])
+    cfg = toy_config(rounds=1, batch_size=16)
+    run_training(model, clients, test, cfg, [(Ignore(), WeightedMean())])
     assert seen[0][2] == (1,) * 6
 
 
@@ -889,21 +890,102 @@ def test_sample_budget_is_the_preprocessed_weight():
         (Truncate(TruncationQuery("1/2", "1/2")), False, [3, 3, 3, 3]),  # cap 3
     ):
         seen.clear()
-        cfg = toy_config(rounds=2, batch_size=100, preprocess=mode, honest_use_all_samples=use_all)
-        run_training(Recording(), clients, clients[0].data, [cfg])
+        cfg = toy_config(rounds=2, batch_size=100, honest_use_all_samples=use_all)
+        run_training(Recording(), clients, clients[0].data, cfg, [(mode, WeightedMean())])
         first, second = seen[:4], seen[4:]
         assert [cid for cid, _ in first] == [0, 1, 2, 3]
         assert [len(used) for _, used in first] == budget
         assert first == second
 
 
+def test_one_initial_model_and_one_selection_per_round(monkeypatch):
+    # two row groups, passthrough on every row and truncate on at most its
+    # cap of 30, start from one initial model and share each round's
+    # selection; a run with no feasible cell draws neither
+    built, pools, row_pool = [], [], engine._row_pool
+
+    def spy(*keys):
+        built.append(keys)
+        return stream(*keys)
+
+    def pool_spy(model, clients, cfg, n):
+        pools.append(n.tolist())
+        return row_pool(model, clients, cfg, n)
+
+    monkeypatch.setattr(engine, "stream", spy)
+    monkeypatch.setattr(engine, "_row_pool", pool_spy)
+    model = SoftmaxRegression(dim=6, classes=3)
+    clients = blob_clients(behavior_map={2: Behavior.LABEL_SHIFT})
+    test = generate_blobs(60, dim=6, classes=3, seed=11)
+    cfg = toy_config(rounds=3, batch_size=16, clients_per_round=4, honest_use_all_samples=False,
+                     master_seed=7)
+    cells = [(Passthrough(), WeightedMean()), (Truncate(TruncationQuery("1/2", "1/2")), WeightedMean())]
+    run_training(model, clients, test, cfg, cells)
+    assert pools == [[30, 35, 40, 45, 50, 55], [30] * 6]
+
+    def keys_of(tag):
+        return sorted(k[2:] for k in built if k[:2] == (7, tag))
+
+    assert keys_of(engine._TAG_INIT) == [()]
+    assert keys_of(engine._TAG_SELECT) == [(1,), (2,), (3,)]
+    built.clear()
+    infeasible = [(Truncate(TruncationQuery("1/2", "1/4")), WeightedMean())]  # alpha* < alpha
+    assert run_training(model, clients, test, cfg, infeasible) == [(None, [])]
+    assert built == []
+
+
+def test_each_distinct_model_is_evaluated_once(monkeypatch):
+    # two cells that hold one model share its accuracy and loss, also when
+    # a model comes back in a later round; every cell reports the metrics
+    # it gets alone
+    evaluated, accuracy = [], engine.accuracy
+
+    def accuracy_spy(model, w, testset):
+        evaluated.append(("accuracy", w.tobytes()))
+        return accuracy(model, w, testset)
+
+    def spy_loss(cls):
+        loss = cls.loss
+
+        def spy(self, w, batch, dropout_rng=None):
+            evaluated.append(("loss", w.tobytes()))
+            return loss(self, w, batch, dropout_rng)
+
+        monkeypatch.setattr(cls, "loss", spy)
+
+    monkeypatch.setattr(engine, "accuracy", accuracy_spy)
+    spy_loss(SoftmaxRegression)
+    model = SoftmaxRegression(dim=6, classes=3)
+    clients = blob_clients()
+    test = generate_blobs(60, dim=6, classes=3, seed=13)
+    cfg = toy_config(rounds=3, batch_size=16, master_seed=4)
+    cells = [(Passthrough(), WeightedMean()), (Passthrough(), WeightedMedian()),
+             (Ignore(), WeightedMedian()), (Passthrough(), WeightedMean())]
+    together = run_training(model, clients, test, cfg, cells)
+    assert len(evaluated) == 2 * 3 * cfg.rounds  # three distinct models a round
+    assert len(set(evaluated)) == len(evaluated)
+    assert evaluated[::2] == [("accuracy", w) for _, w in evaluated[1::2]]  # then its loss
+    for cell, (w, metrics) in zip(cells, together):
+        [(alone, alone_metrics)] = run_training(model, clients, test, cfg, [cell])
+        assert w.tobytes() == alone.tobytes() and metrics == alone_metrics
+    # every client's row is 0.0, so both cells hold the model 0.0 in all four rounds
+    evaluated.clear()
+    still = population(scalar_data(0.0, 0.0, 0.0), [1, 1, 1])
+    plain = [(Passthrough(), WeightedMean()), (Ignore(), WeightedMedian())]
+    spy_loss(ScalarQuadratic)
+    runs = run_training(ScalarQuadratic(), still, scalar_data(0.0), toy_config(rounds=4), plain)
+    assert evaluated == [("accuracy", np.zeros(1).tobytes()), ("loss", np.zeros(1).tobytes())]
+    assert [m.round for _, metrics in runs for m in metrics] == [1, 2, 3, 4] * 2
+    assert all(m.test_loss == 0.0 and m.test_accuracy == 1.0 for _, metrics in runs for m in metrics)
+
+
 def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
     # two runs start a round from 0.0 and -0.0: equal values, different bytes,
     # so they train apart, and every run ends with the bytes it has alone
     clients = population(scalar_data(-0.0, 1.0, -1.0), [1, 1, 1], {1: 3}, {1: Behavior.MODEL_NEGATION})
-    cfgs = [toy_config(rounds=4, eta=1.0, preprocess=p, aggregator=a)
-            for p in (Passthrough(), Ignore())
-            for a in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1), TrimmedMean(0.3))]
+    cfg = toy_config(rounds=4, eta=1.0)
+    cells = [(p, a) for p in (Passthrough(), Ignore())
+             for a in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1), TrimmedMean(0.3))]
     starts, update = [], engine.client_update
 
     def spy(model, w, plan, *rest):
@@ -911,11 +993,11 @@ def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
         return update(model, w, plan, *rest)
 
     monkeypatch.setattr(engine, "client_update", spy)
-    together = run_training(ScalarQuadratic(), clients, scalar_data(0.0), cfgs)
+    together = run_training(ScalarQuadratic(), clients, scalar_data(0.0), cfg, cells)
     assert any(t == u and a == b and a.tobytes() != b.tobytes()
                for i, (t, a) in enumerate(starts) for u, b in starts[i + 1:])
-    for cfg, (w, metrics) in zip(cfgs, together):
-        [(alone, alone_metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(0.0), [cfg])
+    for cell, (w, metrics) in zip(cells, together):
+        [(alone, alone_metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(0.0), cfg, [cell])
         assert w.tobytes() == alone.tobytes() and metrics == alone_metrics
 
 
@@ -942,7 +1024,7 @@ def test_round_metrics_report_a_tiny_aggregate_norm():
     # a liar declaring 10^308 under passthrough x mean scales the honest
     # update by about 10^-309, and its square underflowed to a norm of 0
     clients = population(scalar_data(1.0, 1.0), [1, 1], {1: 10**308}, {1: Behavior.MODEL_NEGATION})
-    [(w, metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(1.0), [toy_config()])
+    [(w, metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(1.0), toy_config(), PLAIN)
     assert 0 < abs(w[0]) < 1e-300
     assert metrics[0].aggregate_norm == abs(w[0])
 
@@ -953,7 +1035,7 @@ def test_divergence_flagged_and_terminal():
     client = population(scalar_data(1.0), [1])
     test = scalar_data(1.0)
     cfg = toy_config(rounds=500, eta=1000.0)
-    [(w, metrics)] = run_training(model, client, test, [cfg])
+    [(w, metrics)] = run_training(model, client, test, cfg, PLAIN)
     assert math.isnan(metrics[-1].test_accuracy) and math.isnan(metrics[-1].test_loss)
     assert len(metrics) < 500
     assert not any(math.isnan(m.test_accuracy) or math.isnan(m.test_loss) for m in metrics[:-1])

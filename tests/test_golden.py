@@ -304,3 +304,50 @@ def test_cli_output_pinned(tmp_path, capsys, name):
         assert sha256(out.encode()) == stdout
     written = {p.name: sha256(p.read_bytes()) for p in sorted(paths["out"].glob("*"))}
     assert written == files
+
+
+# The benchmark's two training grids at seed 1, as its workloads write them:
+# 100 MLP clients over three preprocess modes, and 2 000 one-to-ten-row
+# softmax clients over two.  One digest covers every file, each name then its bytes.
+GRID = """\
+[task]
+clients = {clients}
+train_samples = 20000
+test_samples = 2000
+{task}rounds = {rounds}
+eta = 0.3
+epochs = 1
+[preprocess]
+modes = {modes}
+alpha = 1/10
+alpha_star = 1/2
+[aggregator]
+kinds = mean, median, trimmed
+beta = 0.1
+[attack]
+scenarios = none, negation_fraction
+[seeds]
+master = 1
+"""
+BENCHMARK_GRIDS = {
+    "train-mlp": (dict(clients=100, rounds=3, modes="passthrough, truncate, ignore",
+                       task="separation = 6.0\n[model]\nkind = mlp\nhidden = 64\ndropout = 0.0\n"
+                            "[training]\nbatch_size = 100\n"),
+                  "a2009b25a69bdb0581db1821102fdf737b753c0c11a54a22f8ab8002379aacb1"),
+    "train-crowd": (dict(clients=2000, rounds=2, modes="passthrough, truncate",
+                         task="[model]\nkind = softmax\n[training]\nbatch_size = 1.0\n"),
+                    "34c426b48dbb128d47f3485bea9095735dbe086cc6b969700a1c4e3d955938d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_GRIDS))
+def test_benchmark_grid_pinned(tmp_path, capsys, name):
+    fields, digest = BENCHMARK_GRIDS[name]
+    config, out = tmp_path / "grid.ini", tmp_path / "out"
+    config.write_text(GRID.format(**fields))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out), "--jobs", "1"]) == 0
+    h = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        h.update(p.name.encode() + p.read_bytes())
+    assert len(list(out.iterdir())) == 1 + 6 * len(fields["modes"].split(","))
+    assert h.hexdigest() == digest

@@ -32,13 +32,14 @@ def test_partition_sums_exactly_and_floors_at_one():
     assert sum(v) == 20_000
     assert min(v) >= 1
     assert len(v) == 100
+    assert v.dtype == np.int64  # the array split_by_sizes takes
 
 
 def test_partition_deterministic_in_seed():
     spec = PartitionSpec(total_samples=5_000, clients=40, seed=11)
-    assert generate_partition(spec) == generate_partition(spec)
+    assert np.array_equal(generate_partition(spec), generate_partition(spec))
     other = generate_partition(PartitionSpec(total_samples=5_000, clients=40, seed=12))
-    assert other != generate_partition(spec)
+    assert not np.array_equal(other, generate_partition(spec))
 
 
 def test_partition_sigma_zero_is_even():
@@ -49,7 +50,7 @@ def test_partition_sigma_zero_is_even():
 
 def test_partition_single_client_and_infeasible():
     v = generate_partition(PartitionSpec(total_samples=17, clients=1, seed=0))
-    assert v == [17]
+    assert v.tolist() == [17]
     with pytest.raises(InfeasibleTotal):
         generate_partition(PartitionSpec(total_samples=5, clients=6, seed=0))
 
