@@ -33,6 +33,7 @@ same numbers.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import math
@@ -517,7 +518,8 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     """Train one model per (preprocess mode, aggregator) cell under cfg, in
     lockstep from one initial model (drawn if any cell is feasible) and one
     selection a round; returns each cell's final parameters and per-round
-    metrics, or (None, []) when its preprocess mode is infeasible.
+    metrics, or (None, []) when its preprocess mode is infeasible.  Each
+    distinct mode is preprocessed once, and its cells share the weights.
 
     Cells whose clients have the same usable rows (all held under
     honest_use_all_samples, else min(weight, rows held)) form a row group: one
@@ -529,12 +531,15 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     non-finite one ends its runs on NaN metrics.
     """
     sizes = clients.size.tolist()
+    weights = {}  # one preprocess call a distinct mode, none kept when it is infeasible
+    for mode in dict.fromkeys(mode for mode, _ in cells):
+        with contextlib.suppress(PreprocessInfeasible):
+            weights[mode] = preprocess(clients.declared, mode)
     pools, runs = {}, []  # pools: usable rows -> (pool, offset, n)
     for mode, kind in cells:
         runs.append(run := SimpleNamespace(kind=kind, rows=None, w=None, metrics=[]))
-        try:
-            run.weight = preprocess(clients.declared, mode)
-        except PreprocessInfeasible:
+        run.weight = weights.get(mode)
+        if run.weight is None:
             continue  # the run never starts
         n = clients.size if cfg.honest_use_all_samples else np.array([*map(min, run.weight, sizes)])
         run.rows = n.tobytes()

@@ -6,11 +6,12 @@ small group can hold must be limited: the combined share of the largest
 ``alpha``-fraction of clients has to stay at or below ``alpha_star``.
 Among real-valued repairs that only shrink counts, capping every count at a
 common bound is the cheapest in L1 distance.  This module computes the
-largest integer such bound exactly, in Python integers and fractions that
-cannot overflow, along with the full trade-off between assumed coalition
-size and the resulting cap.  The integer cap is the floor of the
-real-valued one, so it removes fewer than n units more than the cheapest
-integer repair, where n is the number of clients whose counts exceed it.
+largest integer such bound exactly, with the full trade-off between assumed
+coalition size and the resulting cap, in array code: int64 while magnitudes
+stay below 2^62, else Python integers, and shares as fractions.  The integer
+cap is the floor of the real-valued one, so it removes fewer than n units
+more than the cheapest integer repair, where n is the number of clients whose
+counts exceed it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import islice
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 
 class ZeroTotalWeight(ValueError):
@@ -141,42 +144,52 @@ def truncate(v: WeightVector, cap: int) -> WeightVector:
     return WeightVector(v.values[:i] + (cap,) * (len(v) - i))
 
 
-def _crossings(values: Sequence[int], js: Iterable[int], p: int, q: int) -> Iterator[int | None]:
-    """For each top-group size j in `js` (decreasing), the largest integer cap
-    that keeps the capped top-j share at or below p/q, or None when no cap
-    of at least 1 does.  Stops once the uncapped vector meets the limit.
+def _exact(values: Sequence[int], bound: int) -> np.ndarray:
+    """`values` in int64 while `bound`, the largest magnitude the caller computes, is below
+    2^62, else in Python ints: numpy's int64 wraps silently, so this bound is the only guard."""
+    return np.array(values, np.int64 if bound < 2**62 else object)
+
+
+def _crossings(values: Sequence[int], js: np.ndarray, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """For the top-group sizes j in `js` (decreasing), the largest integer
+    cap that keeps the capped top-j share at or below p/q, or 0 when no cap
+    of at least 1 does: the leading js, up to the first that the uncapped
+    vector meets the limit for, and their caps.
 
     Interval u (1-based) holds the caps between the u-th and (u+1)-th
-    smallest weights; there the top-j share of the capped vector is
-    (a + b*cap) / (c + d*cap), with a the weight of top-group clients at or
-    below u, b the count of top-group clients above u, c the weight at or
-    below u and d the count of clients above u.  The share exceeds p/q iff
-    r + s*cap > 0, with r = a*q - c*p and s = b*q - d*p.  Each j's answer
-    lies in the first interval whose upper end exceeds the limit; a smaller
-    j never needs an earlier interval, so u only moves upward across the
-    j's, and with prefix sums each j costs O(1) beyond that walk.
+    smallest weights v; there the top-j share exceeds p/q iff r + s*cap > 0,
+    with r = a*q - c*p and s = b*q - d*p for a the weight of top-group
+    clients at or below u, b the count of those above u, c the weight at or
+    below u and d the count of clients above u.  Each j's answer lies in the
+    first interval whose upper end exceeds the limit.  With the total there,
+    T(u) = prefix[u] + (k-u)*v[u], non-decreasing in u, that is for u <= k-j
+    iff j > p*T(u)/(q*v[u]), a bound that does not rise with u, and for
+    u > k-j iff (q-p)*T(u) > q*prefix[k-j]: one searchsorted call each.
     """
-    k = len(values)
-    prefix = list(accumulate(values, initial=0))
-    spare = q - p
-    u = 1
-    for j in js:
-        lo = k - j  # the top group is the 0-based indices lo..k-1
-        while u < k:
-            c, d = prefix[u], k - u
-            if lo < u:
-                r, s = c * spare - prefix[lo] * q, d * spare
-            else:
-                r, s = -c * p, j * q - d * p
-            if r + s * values[u] > 0:  # a zero weight has c = 0, so r = 0
-                break
-            u += 1
-        else:
-            return
-        # r + s*cap is > 0 at the upper end, so where it is <= 0 at the lower
-        # end (at least 1) its slope s is positive and the cap it gives is at
-        # least that lower end
-        yield None if r + s * (values[u - 1] or 1) > 0 else r // -s
+    k, spare = len(values), q - p
+    v = _exact(values, q * k * values[-1])  # every product below stays under 2^63
+    prefix = np.concatenate(([0], np.cumsum(v)))
+    u0 = max(1, bisect_right(values, 0))  # a zero upper end never exceeds the limit
+    # numpy reuses each of the next two lines' temporaries, so each leaves one buffer
+    total = np.arange(k - u0, 0, -1, dtype=v.dtype) * v[u0:] + prefix[u0:k]  # T(u), u >= u0
+    least = -(total * p // q // v[u0:])  # minus the largest j within p/q at u <= k-j
+    lo = k - js  # the top group is the 0-based indices lo..k-1
+    a = np.searchsorted(least, -js, "right") + u0
+    b = np.searchsorted(total, prefix[lo] * q // spare, "right") + u0  # T > x iff T > floor(x)
+    del least, total
+    u = np.where(a <= lo, a, np.maximum(b, lo + 1))
+    # u never falls as j does; from the first j whose u reaches k, no answers
+    n = np.searchsorted(np.maximum.accumulate(u, out=u), k)
+    js, u, lo = js[:n], u[:n], lo[:n]
+    c, d, top = prefix[u], (k - u).astype(v.dtype), lo < u  # top: a top-group client <= u
+    r = c * -p + np.where(top, (c - prefix[lo]) * q, 0)
+    s = np.where(top, d, js.astype(v.dtype)) * q - d * p
+    # r + s*cap is > 0 at the upper end, so where it is <= 0 at the lower
+    # end (at least 1) its slope s is positive and the cap it gives is at
+    # least that lower end
+    none = r + s * np.maximum(v[u - 1], 1) > 0
+    r[none], s[none] = 0, -1
+    return js, r // -s
 
 
 def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutcome:
@@ -186,8 +199,7 @@ def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutco
     limit, INFEASIBLE when even flattening every weight to the smallest
     positive level fails, and otherwise the exact maximal cap together with
     the share it achieves.  Costs O(K) beyond the sort: one pass of prefix
-    sums and one upward walk over the intervals, with no per-interval
-    rescans of the vector.
+    sums and two binary searches in `_crossings`' arrays.
     """
     alpha, limit = query.alpha, query.alpha_star
     share = top_share(v, alpha)
@@ -195,8 +207,9 @@ def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutco
         return TruncationOutcome(TruncationStatus.NO_TRUNCATION_NEEDED, None, share)
     k = len(v)
     j = k - math.floor((1 - alpha) * k)
-    cap = next(_crossings(v.values, (j,), limit.numerator, limit.denominator), None)
-    if cap is None:
+    _, caps = _crossings(v.values, np.array([j]), limit.numerator, limit.denominator)
+    cap = max(caps.tolist(), default=0)  # 0: no cap of at least 1 meets the limit
+    if cap == 0:
         return TruncationOutcome(TruncationStatus.INFEASIBLE)
     return TruncationOutcome(TruncationStatus.SOLVED, cap, top_share(truncate(v, cap), alpha))
 
@@ -204,17 +217,19 @@ def solve_truncation(v: WeightVector, query: TruncationQuery) -> TruncationOutco
 def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]) -> TradeoffCurve:
     """All feasible (alpha, cap) pairs for alpha on the 1/K grid.
 
-    Walks alpha downward from the largest feasible grid point, one fewer
-    tolerated lying client per step, while the interval pointer only moves
-    upward; with precomputed prefix sums the whole sweep costs O(K) beyond
-    the sort.  Grid points where no cap can meet the limit are skipped; the
-    sweep stops once the raw vector satisfies the limit on its own.
+    Answers every grid point from the largest feasible alpha down, one fewer
+    tolerated lying client per step, in one `_crossings` call: O(K) beyond
+    the sort, with prefix sums and two binary searches over the intervals.
+    Grid points where no cap can meet the limit are skipped; the curve stops
+    once the raw vector satisfies the limit on its own.
     """
     limit = TruncationQuery(1, alpha_star).alpha_star
     k = len(v)
-    js = range(math.floor(limit * k), 0, -1)
-    caps = _crossings(v.values, js, limit.numerator, limit.denominator)  # each >= 1 or None
-    return TradeoffCurve(k, tuple(filter(operator.itemgetter(1), zip(js, caps))))
+    js = np.arange(math.floor(limit * k), 0, -1)
+    js, caps = _crossings(v.values, js, limit.numerator, limit.denominator)
+    rows = np.stack((js, caps))[:, caps != 0]  # caps are each >= 1, or 0 for none
+    del js, caps
+    return TradeoffCurve(k, tuple(zip(*rows.tolist())))
 
 
 @dataclass(frozen=True)
@@ -252,7 +267,7 @@ def preprocess(declared: Sequence[int], mode: PreprocessMode) -> list[int]:
                 f"at fraction {mode.query.alpha}"
             )
         if outcome.status == TruncationStatus.SOLVED:
-            return [min(d, outcome.cap) for d in declared]
+            return np.minimum(_exact(declared, v.values[-1]), outcome.cap).tolist()
     elif not isinstance(mode, Passthrough):
         raise TypeError(f"unknown preprocess mode: {mode!r}")
     return list(declared)

@@ -979,6 +979,32 @@ def test_each_distinct_model_is_evaluated_once(monkeypatch):
     assert all(m.test_loss == 0.0 and m.test_accuracy == 1.0 for _, metrics in runs for m in metrics)
 
 
+def test_each_distinct_mode_is_preprocessed_once(monkeypatch):
+    # the aggregator cells of one mode share its weights, and every cell of
+    # an infeasible mode still ends as (None, [])
+    called = []
+
+    def preprocess_spy(declared, mode):
+        called.append(mode)
+        return preprocess(declared, mode)
+
+    monkeypatch.setattr(engine, "preprocess", preprocess_spy)
+    model = SoftmaxRegression(dim=6, classes=3)
+    clients = blob_clients()
+    test = generate_blobs(60, dim=6, classes=3, seed=13)
+    cfg = toy_config(rounds=2, batch_size=16, master_seed=4)
+    infeasible = Truncate(TruncationQuery("1/2", "1/4"))  # alpha* < alpha
+    cells = [(mode, kind) for mode in (Passthrough(), infeasible, Ignore())
+             for kind in (WeightedMean(), WeightedMedian(), TrimmedMean(0.1))]
+    together = run_training(model, clients, test, cfg, cells)
+    assert called == [Passthrough(), infeasible, Ignore()]
+    assert together[3:6] == [(None, [])] * 3
+    for cell, (w, metrics) in zip(cells, together):
+        [(alone, alone_metrics)] = run_training(model, clients, test, cfg, [cell])
+        assert (w is None and alone is None) or w.tobytes() == alone.tobytes()
+        assert metrics == alone_metrics
+
+
 def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
     # two runs start a round from 0.0 and -0.0: equal values, different bytes,
     # so they train apart, and every run ends with the bytes it has alone

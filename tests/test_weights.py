@@ -156,6 +156,11 @@ def test_capped_share_monotone_in_cap(v, c1, c2):
 
 # ------------------------------------------------------------- solve_truncation
 
+def kernel(v, js, p, q):
+    answered, caps = _crossings(v.values, np.array(js), p, q)
+    return answered.tolist(), caps.tolist()
+
+
 def test_interval_solve_hand_values():
     # interval 4 of (1, 1, 1, 1, 100) holds the caps between 1 and 100; there
     # the limit 1/2 on the top share is met up to cap 2 (alpha 2/5, j = 2) and
@@ -164,11 +169,12 @@ def test_interval_solve_hand_values():
     prefix = list(accumulate(v.values, initial=0))
     assert _crossing(prefix, v.values, 2, 4, 1, 2) == (4, 2)
     assert _crossing(prefix, v.values, 1, 4, 1, 2) == (4, 4)
-    assert list(_crossings(v.values, (2, 1), 1, 2)) == [2, 4]
-    # at alpha 3/5 (j = 3) no cap of at least 1 meets 1/2; the flat vector
-    # meets it on its own, so the kernel stops without an answer
-    assert list(_crossings(v.values, (3,), 1, 2)) == [None]
-    assert list(_crossings(wv(2, 2, 2, 2).values, (2, 1), 1, 2)) == []
+    assert kernel(v, (2, 1), 1, 2) == ([2, 1], [2, 4])
+    # at alpha 3/5 (j = 3) no cap of at least 1 meets 1/2, which the kernel
+    # reports as cap 0; the flat vector meets it on its own, so the kernel
+    # stops without an answer
+    assert kernel(v, (3,), 1, 2) == ([3], [0])
+    assert kernel(wv(2, 2, 2, 2), (2, 1), 1, 2) == ([], [])
 
 
 def _kernel_vector(rng):
@@ -359,6 +365,41 @@ def test_counts_near_int64_limit_stay_exact():
         want_curve = curve_by_repeated_solve(values, alpha_star, solve_truncation, TruncationQuery)
         assert pairs(tradeoff_curve(v, alpha_star)) == want_curve, (values, alpha_star)
     assert statuses == {"solved", "no_truncation_needed", "infeasible"}
+
+
+def _switch_cases():
+    # (values, alpha*, int64 expected): the kernel runs in int64 while
+    # q * k * max(values) stays below 2^62, and on Python ints from there
+    below, above = 2**62 // 16 - 1, 2**62 // 16 + 1  # q = 2, k = 8
+    wide = F(2**32 + 1, 2**33 + 3)  # a denominator past 2^32
+    return [
+        ([1, 5, 9, below // 7, below // 3, below // 2, below - 1, below], F(1, 2), True),
+        ([1, 5, 9, above // 7, above // 3, above // 2, above - 1, above], F(1, 2), False),
+        ([2**63 - 1] * 3 + [2**62 + 17, 2**62 + 2**40, 2**61, 3], F(1, 2), False),
+        ([2**63 - 1, 2**63 + 1, 2**64 + 5, 2**70, 1, 0], F(2, 5), False),
+        ([0, 0, 3, 40, 41, 2**20], wide, True),
+        ([1, 1, 2**33, 2**34], wide, False),
+        ([7] * 9, F(1, 3), True),
+        ([2**63 + 1] * 5, F(1, 2), False),
+        ([0] * 4 + [1, 9, 60], F(1, 2), True),
+        ([0] * 4 + [1, 2**64], F(3, 7), False),
+    ]
+
+
+@pytest.mark.parametrize("values, alpha_star, in_int64", _switch_cases())
+def test_exact_on_both_sides_of_the_int64_switch(values, alpha_star, in_int64):
+    v = wv(*values)
+    k = len(v)
+    _, caps = _crossings(v.values, np.arange(k, 0, -1), alpha_star.numerator, alpha_star.denominator)
+    assert caps.dtype == (np.int64 if in_int64 else object)
+    assert tradeoff_curve(v, alpha_star).rows == sweep_rows(values, alpha_star)
+    oracle = scan_outcome if max(values) <= 100 else bisect_outcome
+    for j in range(1, k + 1):
+        q = TruncationQuery(F(j, k), alpha_star)
+        got = solve_truncation(v, q)
+        assert (got.status, got.cap) == oracle(values, q.alpha, alpha_star), (values, q)
+        if got.status == TruncationStatus.SOLVED:
+            assert got.achieved_share == reference_top_share([min(x, got.cap) for x in values], q.alpha)
 
 
 def test_tradeoff_curve_is_monotone():
