@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import streams
-from .weights import TruncationQuery, WeightVector, top_share, truncate
+from .weights import TruncationQuery, WeightVector, exact_counts, top_share, truncate
 
 
 class AlphaTooSmall(ValueError):
@@ -80,20 +80,12 @@ class CertificateResult:
 
 
 def int64_weights(values) -> np.ndarray:
-    """`values` as an int64 array, with no copy when it already is one.
-
-    A weight of 2^63 or more, or a float that is not a finite whole number,
-    raises ValueError instead of wrapping or truncating in the cast.
-    """
-    array = np.asarray(values)
-    if array.dtype.kind == "f" and not (np.isfinite(array) & (array == np.trunc(array))).all():
-        raise ValueError("weights must be finite whole numbers")
-    try:
-        if array.dtype.kind in "fu" and (array >= 2**63).any():
-            raise OverflowError
-        return array.astype(np.int64, copy=False)
-    except OverflowError:
-        raise ValueError("weights of 2^63 or more do not fit in int64; lower the cap") from None
+    """`values` through `exact_counts`, as int64 with no copy of an int64 array;
+    a weight of 2^63 or more, a Python int there, raises ValueError."""
+    array = exact_counts(values)
+    if array.dtype == object:
+        raise ValueError("weights of 2^63 or more do not fit in int64; lower the cap")
+    return array
 
 
 def margins(params: CertificateParams) -> CertificateMargins:
@@ -139,13 +131,16 @@ def certify_sample(sample, params: CertificateParams) -> CertificateResult:
     decides m samples at once; its result holds length-m arrays of the
     verdicts, left-hand sides and means, each row equal to its own 1-D call.
     """
-    values = int64_weights(sample)
+    values = np.asarray(sample)
     if values.ndim not in (1, 2) or values.shape[-1] != params.sample_size:
         raise ValueError(
             f"sample must hold exactly {params.sample_size} values, got shape {values.shape}"
         )
-    if (values < 0).any():
-        raise ValueError("sampled weights must be non-negative")
+    if values.dtype.kind == "f":  # a whole float is the count it equals; checked before any cast
+        if not (np.isfinite(values) & (values == np.trunc(values))).all():
+            raise ValueError("weights must be finite whole numbers")
+        values = np.frompyfunc(int, 1, 1)(values)
+    values = int64_weights(values.ravel()).reshape(values.shape)
     if (values > params.cap).any():
         raise ValueExceedsBound(
             f"sample contains a value above the cap {params.cap}; cap the population first"

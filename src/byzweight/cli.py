@@ -14,20 +14,11 @@ import sys
 
 import numpy as np
 
-from .certificate import (
-    CertificateParams,
-    certify_sample,
-    int64_weights,
-)
+from .certificate import CertificateParams, certify_sample, int64_weights
 from .config import read_config
 from .experiment import build_clients, build_task, run_grid
 from .tasks import objective_gap
-from .weights import (
-    as_fraction,
-    read_weights_file,
-    tradeoff_curve,
-    truncate,
-)
+from .weights import as_fraction, read_weights_file, tradeoff_curve, truncate
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -68,7 +68,8 @@ _TAG_SHUFFLE = 3
 _TAG_DROPOUT = 4
 _TAG_SUBSET = 5
 
-_STACK_ROWS = 256  # rows per stacked gradient call; larger stacks fall out of cache
+# past glibc's mmap threshold a stack's temporaries are mapped and faulted in on every call
+_STACK_ROWS = 256  # rows per stacked gradient call; the faults, not compute per row, limit it
 _INT64_MAX = np.iinfo(np.int64).max
 # round_plan's stream key, clients, row counts, stacked calls (clients, lanes, scales), and
 # each epoch's rows of each call

@@ -94,6 +94,24 @@ def test_readme_config_block_lists_every_key():
     assert len(listed) == len(vars(ExperimentConfig()))  # no two fields share a key
 
 
+def test_readme_library_block_prints_what_it_says():
+    # each "# ..." line is the repr of the expression on the line above it
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("## Library use", 1)[1]
+    lines = text.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+    namespace, checked = {}, 0
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("# "):
+            continue
+        if after.startswith("# "):
+            assert repr(eval(line, namespace)) == after[2:], line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 3
+
+
 def test_partial_file_fills_defaults():
     cfg = parse_config(SMALL)
     assert cfg.dim == 6 and cfg.clients == 8
