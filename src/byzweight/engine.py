@@ -37,7 +37,6 @@ import contextlib
 import enum
 import hashlib
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -46,7 +45,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .tasks import Dataset, SizeMismatch, accuracy
-from .weights import PreprocessInfeasible, PreprocessMode, preprocess
+from .weights import PreprocessInfeasible, PreprocessMode, exact_counts, preprocess
 
 
 class EmptyClientData(ValueError):
@@ -136,18 +135,18 @@ ClientSpec = namedtuple("ClientSpec", "id data declared_size behavior")
 class Clients:
     """A population, client i at position i: every client's rows in one
     Dataset, client by client; each one's row count (size, int64), declared
-    count (exact ints, since a lie may exceed int64) and Behavior.  Indexing
-    gives client i as a ClientSpec whose rows are a view of data."""
+    count (one exact_counts array, since a lie may exceed int64) and Behavior.
+    Indexing gives client i as a ClientSpec whose rows are a view of data."""
 
     data: Dataset
     size: np.ndarray
-    declared: tuple
+    declared: np.ndarray
     behavior: np.ndarray
     start: np.ndarray = field(init=False, repr=False)  # each client's first row in data
 
     def __post_init__(self) -> None:
         size = np.asarray(self.size, dtype=np.int64)
-        declared = tuple(map(operator.index, self.declared))
+        declared = exact_counts(self.declared)
         behavior = np.fromiter(self.behavior, dtype=object)  # np.array probes each item: 10x slower
         if not len(size) == len(declared) == len(behavior):
             raise ValueError("need one size, declared count and behavior per client")
@@ -159,10 +158,10 @@ class Clients:
         if size.sum() != len(self.data):
             raise SizeMismatch(f"sizes sum to {size.sum()} "
                                f"but the dataset holds {len(self.data)} rows")
-        if min(declared, default=1) < 1:
+        if declared.min() < 1:
             raise ValueError("declared_size must be a positive integer")
         # honest clients report their true size; only attackers may lie
-        lied = np.flatnonzero((behavior == Behavior.HONEST) & (np.array(declared, object) != size))
+        lied = np.flatnonzero((behavior == Behavior.HONEST) & (declared != size))
         if lied.size:
             i = lied[0]
             raise ValueError(f"honest client {i} declares {declared[i]} but holds {size[i]}")
@@ -173,7 +172,7 @@ class Clients:
     def __getitem__(self, i: int) -> ClientSpec:
         i = range(len(self))[i]  # IndexError past either end, which also ends iteration
         rows = slice(self.start[i], self.start[i] + self.size[i])
-        return ClientSpec(i, self.data.subset(rows), self.declared[i], self.behavior[i])
+        return ClientSpec(i, self.data.subset(rows), int(self.declared[i]), self.behavior[i])
 
 
 @dataclass(frozen=True)

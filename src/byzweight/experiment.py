@@ -5,9 +5,9 @@ Cells share the same data, partition, and master seed, so any difference
 between their metric files comes from the cell axes alone.  The task, and
 each scenario's clients, are built once per grid and handed to every cell;
 a cell draws only from its own seeded streams, which keeps parallel runs
-byte-identical to sequential ones.  In this process, a scenario's cells
-train as one lockstep run (run_training), which shares what they compute
-alike and changes no byte of any cell.
+byte-identical to sequential ones.  Cells of one scenario train as one
+lockstep run (run_training), which shares what they compute alike and
+changes no byte of any cell.
 """
 
 from __future__ import annotations
@@ -117,30 +117,29 @@ def _init_worker(clients, test) -> None:
             setter(1)
 
 
-def _run_cell_in_worker(cfg: ExperimentConfig, preprocess: str, aggregator: str, attack: str):
+def _run_in_worker(cfg: ExperimentConfig, cells):
     clients, test = _worker_task
-    return _run_scenario(cfg, clients[attack], test, [(preprocess, aggregator, attack)])[0]
+    return _run_scenario(cfg, clients[cells[0][2]], test, cells)
 
 
 def run_cells(cfg: ExperimentConfig, clients, test, cells, jobs: int = 1) -> list[CellResult]:
     """Each (preprocess, aggregator, attack) cell's result on clients[attack] and test,
-    in the order of cells.
-
-    Both train through _run_scenario.  jobs > 1 forks min(jobs, cells) pool
-    workers, which get clients and test once, run one BLAS thread and one
-    cell a task (a scenario a task would serialise a one-scenario grid).
-    jobs = 1 keeps this process's BLAS setting and trains each scenario's
-    cells as one lockstep run.
+    in the order of cells.  A task is up to ceil(cells / jobs) cells of one scenario,
+    which _run_scenario trains as one lockstep run.  jobs = 1 runs the tasks here with
+    this process's BLAS setting, each scenario one task; jobs > 1 forks min(jobs, tasks)
+    pool workers, which get clients and test once and run one BLAS thread.
     """
+    size = -(-len(cells) // jobs)
+    groups = [[c for c in cells if c[2] == s] for s in dict.fromkeys(s for _, _, s in cells)]
+    tasks = [group[i:i + size] for group in groups for i in range(0, len(group), size)]
     if jobs > 1:  # a forked pool starts all its workers at once
-        workers = min(jobs, len(cells))
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(clients, test)) as ex:
-            return list(ex.map(_run_cell_in_worker, repeat(cfg), *zip(*cells)))
-    results = {}
-    for scenario in dict.fromkeys(s for _, _, s in cells):
-        at = [i for i, cell in enumerate(cells) if cell[2] == scenario]
-        results.update(zip(at, _run_scenario(cfg, clients[scenario], test, [cells[i] for i in at])))
-    return [results[i] for i in range(len(cells))]
+        with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_init_worker,
+                                 initargs=(clients, test)) as ex:
+            done = list(ex.map(_run_in_worker, repeat(cfg), tasks))
+    else:
+        done = [_run_scenario(cfg, clients[task[0][2]], test, task) for task in tasks]
+    results = {(r.preprocess, r.aggregator, r.attack): r for task in done for r in task}
+    return [results[cell] for cell in cells]
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[CellResult]:

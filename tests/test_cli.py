@@ -502,17 +502,19 @@ def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
     assert sum(map(len, rounds)) < len(cfg.scenarios) * (cfg.rounds * cells - (cells - 1))
 
 
-def test_in_process_cells_equal_cells_run_alone():
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_in_process_cells_equal_cells_run_alone(jobs):
     # without honest_use_all_samples a cell's rows depend on its weights, so
     # only cells with equal weights may share them; sampled rounds and
-    # label-shifted rows must come out as in a cell run on its own
+    # label-shifted rows must come out as in a cell run on its own.  At jobs 3
+    # each 9-cell scenario splits into pool tasks of 6 and 3 cells.
     cfg = parse_config(SMALL.replace("batch_size = 16\n", "batch_size = 16\n"
                                      "clients_per_round = 0.6\nhonest_use_all_samples = false\n")
                        .replace("negation_single", "label_shift_fraction"))
     shards, test = build_task(cfg)
     clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
     cells = grid_cells(cfg)
-    results = experiment.run_cells(cfg, clients, test, cells, jobs=1)
+    results = experiment.run_cells(cfg, clients, test, cells, jobs=jobs)
     assert [(r.preprocess, r.aggregator, r.attack) for r in results] == cells
     for r, (p, a, s) in zip(results, cells):
         [alone] = experiment._run_scenario(cfg, clients[s], test, [(p, a, s)])
@@ -632,19 +634,30 @@ def test_pool_workers_run_one_blas_thread(tmp_path):
 
 
 def test_run_grid_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
-    # a forked pool starts every worker it is given at once
-    requested, pool = [], experiment.ProcessPoolExecutor
+    # a forked pool starts every worker it is given at once; its tasks are
+    # each up to ceil(cells / jobs) cells of one scenario
+    requested, mapped = [], []
 
-    def spy(max_workers, **kwargs):
-        requested.append(max_workers)
-        return pool(min(max_workers, 2), **kwargs)  # never a large pool here
+    class Spy(experiment.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            requested.append(max_workers)
+            super().__init__(min(max_workers, 2), **kwargs)  # never a large pool here
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(iterables[-1])  # the task lists, after repeat(cfg)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Spy)
     cfg = parse_config(SMALL + "[preprocess]\nmodes = passthrough\n[aggregator]\nkinds = mean, median\n")
+    cells = grid_cells(cfg)
     for jobs in (64, 3):
         results = run_grid(cfg, out_dir=str(tmp_path / str(jobs)), jobs=jobs)
         assert len(results) == 4
-    assert requested == [4, 3]
+        tasks = mapped.pop()
+        assert all(len({s for _, _, s in task}) == 1 for task in tasks)
+        assert max(map(len, tasks)) <= -(-len(cells) // jobs)
+        assert sorted(cell for task in tasks for cell in task) == sorted(cells)
+    assert requested == [4, 2]
 
 
 # ----------------------------------------------------------------------- cli

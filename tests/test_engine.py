@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,7 +416,7 @@ def test_honest_client_cannot_lie():
     with pytest.raises(ValueError, match="^honest client 1 declares 5 but holds 2$"):
         population(scalar_data(1.0, 2.0, 3.0), [1, 2], {1: 5})
     liar = population(scalar_data(1.0, 2.0, 3.0), [1, 2], {1: 10**400}, {1: Behavior.MODEL_NEGATION})
-    assert liar.declared == (1, 10**400) and liar[1].declared_size == 10**400  # exact, past int64
+    assert liar.declared.tolist() == [1, 10**400] and liar[1].declared_size == 10**400  # exact, past int64
 
 
 def test_client_needs_samples_and_a_positive_declared_size():
@@ -428,6 +429,21 @@ def test_client_needs_samples_and_a_positive_declared_size():
         Clients(scalar_data(1.0, 2.0), [1], [1], negation[:1])
     with pytest.raises(ValueError, match="^need one size, declared count and behavior per client$"):
         Clients(scalar_data(1.0, 2.0), [1, 1], [1], negation[:2])
+
+
+def test_declared_counts_take_the_weight_guard():
+    # Clients holds its declared counts as one exact_counts array, so it
+    # refuses what that guard refuses, with its message: no client, or a count
+    # that is not a non-negative integer
+    for declared, message in [([1.0], "weights must be non-negative integers, got 1.0"),
+                              (["1"], "weights must be non-negative integers, got '1'"),
+                              ([-1], "weights must be non-negative integers, got -1"),
+                              ([], "weight vector must hold at least one client")]:
+        n = len(declared)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Clients(scalar_data(*[1.0] * n), [1] * n, declared, [Behavior.MODEL_NEGATION] * n)
+    spec = Clients(scalar_data(1.0), [1], np.array([7]), [Behavior.MODEL_NEGATION])[0]
+    assert type(spec.declared_size) is int and spec.declared_size == 7  # a Python int
 
 
 # --------------------------------------------------------------- aggregators
