@@ -189,6 +189,8 @@ def false_certification_rate(
     for done in range(0, trials, len(block)):
         stack = block[:trials - done]
         for row, rng in zip(stack, draws):  # zip reads a row first, so no stream is skipped
-            row[:] = rng.choice(values, size=k)
+            # choice(values, size=k)'s draw without its overhead; every index
+            # is in range, so "clip" moves none and lets take write in place
+            np.take(values, rng.integers(0, len(values), size=k), out=row, mode="clip")
         hits += int(certify_sample(stack, params).certified.sum())
     return hits / trials

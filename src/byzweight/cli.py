@@ -41,7 +41,7 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 def cmd_tradeoff(args) -> int:
     curve = tradeoff_curve(read_weights_file(args.weights), args.alpha_star)
-    if not curve.rows:
+    if not len(curve.js):
         print(
             "no feasible pairs: every candidate assumption is already satisfied "
             "or unattainable for this weight vector",

@@ -121,16 +121,51 @@ class TruncationOutcome:
     achieved_share: Fraction | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeoffCurve:
-    """Feasible rows (j, cap), alpha = j/k strictly decreasing."""
+    """The feasible pairs: for alpha = js[i]/k, strictly decreasing, the
+    largest cap caps[i].  Both are read-only 1-D arrays in `_crossings`'
+    dtypes: int64, or Python ints once the arithmetic passes int64."""
 
     k: int
-    rows: tuple[tuple[int, int], ...]
+    js: np.ndarray
+    caps: np.ndarray
+    BLOCK = 8192  # rows a CSV block; a whole-curve buffer raised the process's resident peak
+
+    def __post_init__(self) -> None:
+        for name in ("js", "caps"):
+            array = getattr(self, name).view()  # the caller's array stays writeable
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def to_csv(self) -> str:
-        k = self.k  # int true division rounds correctly: j / k == float(Fraction(j, k))
-        return "alpha,u_star\n" + "".join([f"{j / k:.6f},{cap}\n" for j, cap in self.rows])
+        """A line a pair, alpha as f"{j / k:.6f}" prints it, then the cap."""
+        blocks = range(0, len(self.js), self.BLOCK)
+        return "alpha,u_star\n" + "".join([self._block(i, i + self.BLOCK) for i in blocks])
+
+    def _block(self, start: int, stop: int) -> str:
+        """Rows start..stop-1 as text, filled digit by digit into one byte buffer."""
+        k, js, caps = self.k, self.js[start:stop], self.caps[start:stop]
+        # alpha in millionths, rounded half up: a tie, and a j past 2^32 where
+        # the float of j/k may cross a rounding boundary, take Python's own below
+        q = (js if k * 10**6 < 2**63 else js.astype(object)) * 10**6
+        rem = q % k
+        q = q // k + (2 * rem > k)
+        tens = 10 ** np.arange(1, len(str(caps.max())), dtype=caps.dtype)
+        width = np.searchsorted(tens, caps, "right") + 1  # the cap's digits
+        ends = np.cumsum(width + 10)  # a line: "d.dddddd," and the cap and "\n"
+        comma = ends - 2 - width
+        line = np.empty(ends[-1], np.uint8)
+        for back in range(len(tens) + 1):  # a short cap writes its leading zeros onto the comma
+            line[np.maximum(ends - 2 - back, comma)] = caps % 10 + 48
+            caps = caps // 10
+        for back in range(1, 7):
+            line[comma - back] = q % 10 + 48
+            q = q // 10
+        line[comma - 8], line[comma - 7], line[comma], line[ends - 1] = q + 48, 46, 44, 10  # . , \n
+        for i in np.flatnonzero((2 * rem == k) | (js >= 2**32)).tolist():
+            line[comma[i] - 8:comma[i]] = np.frombuffer(f"{int(js[i]) / k:.6f}".encode(), np.uint8)
+        return line.tobytes().decode()
 
 
 def top_share(v: WeightVector, fraction: Union[Fraction, int, float, str]) -> Fraction:
@@ -241,9 +276,8 @@ def tradeoff_curve(v: WeightVector, alpha_star: Union[Fraction, int, float, str]
     k = len(v)
     js = np.arange(math.floor(limit * k), 0, -1)
     js, caps = _crossings(v.values, js, limit.numerator, limit.denominator)
-    rows = np.stack((js, caps))[:, caps != 0]  # caps are each >= 1, or 0 for none
-    del js, caps
-    return TradeoffCurve(k, tuple(zip(*rows.tolist())))
+    feasible = caps != 0  # caps are each >= 1, or 0 for none
+    return TradeoffCurve(k, js[feasible], caps[feasible])
 
 
 @dataclass(frozen=True)
@@ -295,7 +329,7 @@ def read_weights_file(path) -> WeightVector:
         # characters such as \x1c and U+2028 that belong inside a line
         lines = fh.read().rstrip("\n").split("\n")  # trailing blank lines hold no weight
     try:  # one C-level pass; blank, comment, bad, negative and past-int64 lines take the loop
-        counts = exact_counts(np.fromiter(map(int, lines), np.int64, len(lines)))
+        counts = exact_counts(np.array(lines, dtype=np.int64))  # int() on each str
     except (ValueError, OverflowError):
         counts = []
         for lineno, raw in enumerate(lines, start=1):

@@ -88,8 +88,8 @@ def test_criterion_02_share_and_curve_monotone():
         if any(a > b for a, b in zip(shares, shares[1:])):
             violations += 1
         curve = tradeoff_curve(v, Fraction(1, 2))
-        alphas = [Fraction(j, curve.k) for j, _ in curve.rows]
-        ustars = [u for _, u in curve.rows]
+        alphas = [Fraction(j, curve.k) for j in curve.js.tolist()]
+        ustars = curve.caps.tolist()
         if any(a >= b for a, b in zip(alphas[1:], alphas)):  # must strictly drop
             violations += 1
         if any(a > b for a, b in zip(ustars, ustars[1:])):  # caps must not drop

@@ -297,3 +297,16 @@ def test_false_rate_deterministic_and_bounded():
     r2 = false_certification_rate(population, p, trials=300, seed=9)
     assert r1 == r2
     assert r1 <= 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 4097, 2**20])
+def test_choice_draws_what_integers_index(n):
+    # false_certification_rate gathers a[integers(0, len(a), size=k)] where
+    # the per-trial oracle and `certify` call choice(a, size=k): on this
+    # numpy both draw the same values and leave the generator in one state
+    a = np.arange(n, dtype=np.int64) * 3 + 1
+    for seed in (0, 7, 2**32 + 5, 2**64 + 3):
+        for k in (1, 5, 1000, 4097):
+            left, right = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(left.choice(a, size=k), a[right.integers(0, n, size=k)])
+            assert left.bit_generator.state == right.bit_generator.state, (n, seed, k)

@@ -48,8 +48,12 @@ def wv(*values):
     return WeightVector.from_values(values)
 
 
+def rows(curve):
+    return tuple(zip(curve.js.tolist(), curve.caps.tolist()))
+
+
 def pairs(curve):
-    return tuple((F(j, curve.k), cap) for j, cap in curve.rows)
+    return tuple((F(j, curve.k), cap) for j, cap in rows(curve))
 
 
 # ---------------------------------------------------------------- WeightVector
@@ -201,9 +205,9 @@ def test_crossing_kernel_matches_per_row_sweep():
         q = int(rng.integers(2, 1001))
         alpha_star = F(int(rng.integers(1, q)), q)
         v = WeightVector.from_values(values)
-        rows = tradeoff_curve(v, alpha_star).rows
-        assert rows == sweep_rows(values, alpha_star), (values, alpha_star)
-        hits["rows"] += len(rows)
+        got = rows(tradeoff_curve(v, alpha_star))
+        assert got == sweep_rows(values, alpha_star), (values, alpha_star)
+        hits["rows"] += len(got)
         k = len(values)
         for j in {int(x) for x in rng.integers(1, k + 1, size=3)}:
             out = solve_truncation(v, TruncationQuery(F(j, k), alpha_star))
@@ -304,7 +308,7 @@ def test_tradeoff_hand_values():
 
 
 def test_tradeoff_flat_vector_is_empty():
-    assert tradeoff_curve(wv(2, 2, 2, 2), F(1, 2)).rows == ()
+    assert rows(tradeoff_curve(wv(2, 2, 2, 2), F(1, 2))) == ()
 
 
 def test_tradeoff_matches_repeated_solve():
@@ -335,7 +339,7 @@ def test_realistic_k_outputs_pinned():
     # make every grid point above alpha=7431/20000 infeasible, so the sweep
     # skips 2 569 of them before its first pair.
     curve = tradeoff_curve(_lognormal_declared(20261018, 20_000), F(1, 2))
-    assert len(curve.rows) == 7330
+    assert len(curve.js) == len(curve.caps) == 7330
     assert pairs(curve)[0] == (F(7431, 20000), 1)
     assert hashlib.sha256(curve.to_csv().encode()).hexdigest() == (
         "40de6614d75eb636d0c5f8f7b426d0f2a6b276aee8572326bfe81d9adf4172de"
@@ -393,7 +397,7 @@ def test_exact_on_both_sides_of_the_int64_switch(values, alpha_star, in_int64):
     k = len(v)
     _, caps = _crossings(v.values, np.arange(k, 0, -1), alpha_star.numerator, alpha_star.denominator)
     assert caps.dtype == (np.int64 if in_int64 else object)
-    assert tradeoff_curve(v, alpha_star).rows == sweep_rows(values, alpha_star)
+    assert rows(tradeoff_curve(v, alpha_star)) == sweep_rows(values, alpha_star)
     oracle = scan_outcome if max(values) <= 100 else bisect_outcome
     for j in range(1, k + 1):
         q = TruncationQuery(F(j, k), alpha_star)
@@ -463,20 +467,80 @@ def test_preprocess_is_elementwise_in_client_order(declared, data):
 # --------------------------------------------------------------- serialization
 
 def test_tradeoff_csv_golden():
-    curve = TradeoffCurve(5, ((2, 2), (1, 4)))
+    curve = TradeoffCurve(5, np.array([2, 1]), np.array([2, 4]))
     assert curve.to_csv() == "alpha,u_star\n0.400000,2\n0.200000,4\n"
+
+
+def _exact_array(xs):
+    # as _crossings returns them: int64, or Python ints once a value passes int64
+    return np.array(xs, dtype=object if max(xs, default=0) >= 2**63 else np.int64)
+
+
+def _check_csv(k, js, caps):
+    # each row prints j / k; it must be the float of the exact Fraction(j, k)
+    lines = ["alpha,u_star"] + [f"{float(F(j, k)):.6f},{cap}" for j, cap in zip(js, caps)]
+    curve = TradeoffCurve(k, _exact_array(js), _exact_array(caps))
+    assert curve.to_csv() == "\n".join(lines) + "\n"
 
 
 @given(st.integers(1, 10**6), st.data())
 @settings(max_examples=200)
 def test_tradeoff_csv_matches_fraction_formatting(k, data):
-    # each row prints j / k; it must be the float of the exact Fraction(j, k)
     near = st.integers(max(1, k // 2 - 50), max(1, min(k, k // 2 + 50)))
     js = data.draw(st.lists(st.one_of(near, st.integers(1, k)), max_size=20))
-    rows = tuple((j, data.draw(st.integers(0, 2**64))) for j in sorted(set(js), reverse=True))
-    lines = ["alpha,u_star"] + [f"{float(F(j, k)):.6f},{cap}" for j, cap in rows]
-    curve = TradeoffCurve(k, rows)
-    assert curve.to_csv() == "\n".join(lines) + "\n"
+    js = sorted(set(js), reverse=True)
+    _check_csv(k, js, [data.draw(st.integers(0, 2**64)) for _ in js])
+
+
+_CAPS = st.sampled_from([1, 9, 10, 2**63 - 1, 2**63, 2**64, 10**19, 10**25]) | st.integers(0, 2**70)
+
+
+@given(st.sampled_from([2**e for e in range(64)])  # exact ties
+       | st.integers(2**32, 2**40)  # j past 2^32
+       | st.integers(2**63 // 10**6 - 2, 2**64),  # k * 10^6 past int64
+       st.data())
+@settings(max_examples=300)
+def test_tradeoff_csv_exact_at_ties_and_wide_values(k, data):
+    near_half = st.integers(max(1, k // 2 - 50), max(1, min(k, k // 2 + 50)))
+    near_top = st.integers(max(1, k - 50), k)  # rounds up to 1.000000 once k > 2 * 10^6
+    js = data.draw(st.lists(near_half | near_top | st.integers(1, k), max_size=30))
+    js = sorted(set(js), reverse=True)
+    _check_csv(k, js, [data.draw(_CAPS) for _ in js])
+
+
+def test_tradeoff_csv_prints_the_float_near_a_rounding_boundary():
+    # j/k lies within 10^-18 of a boundary here, closer than the float of j/k,
+    # which falls on the other side; the CSV prints the float, as it always has
+    for j, k, text in [(333333500001, 1000000000003, "0.333334"),
+                       (555555500005, 1000000000009, "0.555555"),
+                       (444444500004, 1000000000009, "0.444445")]:
+        assert f"0.{int(F(j, k) * 10**6 + F(1, 2)):06d}" != text  # j/k itself rounds the other way
+        _check_csv(k, [j], [1])
+        assert TradeoffCurve(k, np.array([j]), np.array([1])).to_csv()[13:21] == text
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 2 * 8192 + 1])
+def test_tradeoff_csv_across_block_boundaries(n):
+    # a block boundary inside the curve, at k a power of two (every odd j a
+    # tie), k past 2^32 and k * 10^6 past int64; caps change width within a block
+    assert TradeoffCurve.BLOCK == 8192
+    rng = np.random.default_rng(n)
+    for k in (2**15, 10**7, 2**40 + 3, 2**63 + 5):
+        js = rng.choice(min(k, 2**62) - 1, size=n, replace=False) + 1
+        js = sorted(js.tolist(), reverse=True)
+        js[0] = k - 1  # 1.000000 at k = 10^7
+        caps = rng.integers(1, 10 ** rng.integers(1, 19, size=n)).tolist()
+        _check_csv(k, js, caps)
+        caps[n // 2] = 2**64 + 7
+        _check_csv(k, js, caps)
+
+
+def test_tradeoff_curve_arrays_are_read_only():
+    curve = tradeoff_curve(wv(1, 1, 1, 1, 100), F(1, 2))
+    assert curve.js.dtype == curve.caps.dtype == np.int64
+    for array in (curve.js, curve.caps):
+        with pytest.raises(ValueError):
+            array[0] = 5
 
 
 @given(weight_vectors(max_k=12, max_value=200), st.sampled_from([F(3, 10), F(1, 2), F(3, 5)]))

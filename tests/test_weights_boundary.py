@@ -149,3 +149,25 @@ def test_vector_holds_a_read_only_view():
     assert counts.flags.writeable and not v.values.flags.writeable
     with pytest.raises(ValueError):
         v.values[0] = 5
+
+
+# one odd line of a weights file, and the outcome it gives: its value, or
+# the refusal's message.  The bulk parse applies int() to each line as the
+# line-by-line loop does, so both give what the loop alone gave.
+ODD_LINES = [
+    ("1_000", 1000), ("+5", 5), (" 7 ", 7), ("\t8", 8), ("٣", 3), ("５", 5), ("-0", 0),
+    ("5\x00", "not an integer: '5\\x00'"), ("0x10", "not an integer: '0x10'"),
+    ("1.0", "not an integer: '1.0'"), ("1e3", "not an integer: '1e3'"),
+    ("True", "not an integer: 'True'"), ("-5", NEGATIVE),
+    (str(2**63), 2**63), (str(2**64), 2**64),
+]
+
+
+@pytest.mark.parametrize("text, want", ODD_LINES, ids=[repr(r[0]) for r in ODD_LINES])
+@pytest.mark.parametrize("before", [[], [1]], ids=["alone", "after-1"])
+def test_odd_weight_file_lines(tmp_path, text, want, before):
+    path = tmp_path / "w.txt"
+    path.write_text("".join(f"{x}\n" for x in before) + text + "\n")
+    n = len(before) + 1
+    check_vector(lambda: read_weights_file(path),
+                 line(n, want) if isinstance(want, str) else sorted(before + [want]), path)
