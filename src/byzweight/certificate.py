@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import streams
-from .weights import TruncationQuery, WeightVector, exact_counts, top_share, truncate
+from .weights import TruncationQuery, WeightVector, exact_cap, exact_counts, top_share, truncate
 
 
 class AlphaTooSmall(ValueError):
@@ -44,8 +44,7 @@ class CertificateParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not math.isfinite(3.0 / self.delta):  # the margins take log(3/delta)
             raise ValueError(f"delta={self.delta} is too small: 3/delta overflows a float")
-        if self.cap < 1:
-            raise ValueError(f"cap (--u) must be positive, got {self.cap}")
+        object.__setattr__(self, "cap", exact_cap(self.cap, least=1, name="cap (--u)"))
         if self.cap >= 2**1024 - 2**970:  # the margins scale with float(cap), which overflows
             raise ValueError("cap (--u) must lie in float range (below 2^1024 - 2^970)")
         query = TruncationQuery(self.alpha, self.alpha_star)

@@ -489,18 +489,14 @@ def participants_per_round(
     return m
 
 
-def select_clients(
-    round_index: int,
-    population: int,
-    clients_per_round: Optional[Union[int, float]],
-    master_seed: int,
-) -> tuple[int, ...]:
-    """Ids participating this round, ascending; uniform without replacement."""
+def select_clients(round_index: int, population: int,
+                   clients_per_round: Optional[Union[int, float]], master_seed: int) -> np.ndarray:
+    """Ids participating this round, an ascending int64 array; uniform without replacement."""
     m = participants_per_round(clients_per_round, population)
     if m == population:
-        return tuple(range(population))
+        return np.arange(population, dtype=np.int64)
     rng = stream(master_seed, _TAG_SELECT, round_index)
-    return tuple(sorted(rng.choice(population, size=m, replace=False).tolist()))
+    return np.sort(rng.choice(population, size=m, replace=False))
 
 
 def _norm(w: np.ndarray) -> float:
@@ -519,7 +515,8 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     lockstep from one initial model (drawn if any cell is feasible) and one
     selection a round; returns each cell's final parameters and per-round
     metrics, or (None, []) when its preprocess mode is infeasible.  Each
-    distinct mode is preprocessed once, and its cells share the weights.
+    distinct mode is preprocessed once into one weight array, which its
+    cells share and each round indexes with select_clients' id array.
 
     Cells whose clients have the same usable rows (all held under
     honest_use_all_samples, else min(weight, rows held)) form a row group: one
@@ -530,7 +527,6 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     (the bytes of every round's models would grow with the rounds); a
     non-finite one ends its runs on NaN metrics.
     """
-    sizes = clients.size.tolist()
     weights = {}  # one preprocess call a distinct mode, none kept when it is infeasible
     for mode in dict.fromkeys(mode for mode, _ in cells):
         with contextlib.suppress(PreprocessInfeasible):
@@ -541,7 +537,8 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
         run.weight = weights.get(mode)
         if run.weight is None:
             continue  # the run never starts
-        n = clients.size if cfg.honest_use_all_samples else np.array([*map(min, run.weight, sizes)])
+        n = clients.size if cfg.honest_use_all_samples else np.minimum(run.weight, clients.size)
+        n = n.astype(np.int64, copy=False)  # object past 2^63; int64 bytes key the pools
         run.rows = n.tobytes()
         if run.rows not in pools:
             pools[run.rows] = _row_pool(model, clients, cfg, n)
@@ -553,8 +550,8 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     for t in range(1, cfg.rounds + 1):
         if not live:
             break
-        at = np.array(select_clients(t, len(sizes), cfg.clients_per_round, cfg.master_seed))
-        ids, plans, starts = at.tolist(), {}, {}  # starts: (rows, bytes) -> model, runs by kind
+        at = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
+        plans, starts = {}, {}  # starts: (rows, bytes) -> model, runs by kind
         for r in live:
             _, kinds = starts.setdefault((r.rows, r.w.tobytes()), (r.w, {}))
             kinds.setdefault(r.kind, []).append(r)
@@ -565,7 +562,7 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
             plan, updates = plans[rows]
             client_update(model, w, plan, pool, updates)
             for kind, same in kinds.items():
-                stack = aggregate(kind, updates, [[r.weight[i] for i in ids] for r in same])
+                stack = aggregate(kind, updates, [r.weight[at] for r in same])
                 for r, aggregated in zip(same, stack):
                     r.w = aggregated
         for r in live:

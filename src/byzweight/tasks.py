@@ -11,10 +11,14 @@ parameter gradients.  Cross-entropy `loss`, `gradient` and `predict` are shared.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
+
+from .weights import exact_cap, exact_counts
 
 
 class InfeasibleTotal(ValueError):
@@ -288,13 +292,13 @@ def accuracy(model: Model, w, ds: Dataset) -> float:
     return float((model.predict(w, ds.features) == ds.labels).mean())
 
 
-def objective_gap(
-    model: Model,
-    w,
-    shards: Sequence[Dataset],
-    declared,
-    cap: int,
-) -> tuple[float, float]:
+def _sum(terms) -> float:
+    """Left to right from 0, as the builtin sum added floats before 3.12 compensated them."""
+    return reduce(operator.add, terms, 0)
+
+
+def objective_gap(model: Model, w, shards: Sequence[Dataset], declared, cap: int
+                  ) -> tuple[float, float]:
     """Actual and bounded change of the weighted objective under capping.
 
     Compares the declared-weighted mean of client objectives against the
@@ -303,34 +307,24 @@ def objective_gap(
     mass they lose relative to uniform, clients at or below it contribute
     their total per-sample loss scaled by the normalizer shift.  With the
     cap at or above every declared count both sides are exactly zero.
+    The counts are read through `exact_counts` and the cap through `exact_cap`.
     """
-    declared_list = [int(x) for x in declared]
+    declared_list = exact_counts(declared).tolist()
     if len(declared_list) != len(shards):
-        raise SizeMismatch(
-            f"{len(declared_list)} declared counts for {len(shards)} shards"
-        )
-    if cap < 1:
-        raise ValueError(f"cap (--u) must be positive, got {cap}")
-    k = len(shards)
+        raise SizeMismatch(f"{len(declared_list)} declared counts for {len(shards)} shards")
+    cap = exact_cap(cap, least=1, name="cap (--u)")
     capped = [min(x, cap) for x in declared_list]
-    declared_total = sum(declared_list)
-    capped_total = sum(capped)
-    if declared_total == 0 or capped_total == 0:
+    declared_total, capped_total = sum(declared_list), sum(capped)  # both 0, or neither
+    if declared_total == 0:
         raise ValueError("declared counts must carry positive total weight")
     # each client's mean loss in evaluation mode: no dropout stream
     objectives = [model.loss(w, shard) for shard in shards]
-    declared_mean = sum(d * f for d, f in zip(declared_list, objectives)) / declared_total
-    capped_mean = sum(c * f for c, f in zip(capped, objectives)) / capped_total
+    declared_mean = _sum(d * f for d, f in zip(declared_list, objectives)) / declared_total
+    capped_mean = _sum(c * f for c, f in zip(capped, objectives)) / capped_total
     lhs = abs(declared_mean - capped_mean)
-    over = sum(
-        (d / declared_total - 1.0 / k) * f
-        for d, f in zip(declared_list, objectives)
-        if d > cap
-    )
-    under_loss_total = sum(
-        len(shard) * f
-        for d, shard, f in zip(declared_list, shards, objectives)
-        if d <= cap
-    )
+    over = _sum((d / declared_total - 1.0 / len(shards)) * f
+                for d, f in zip(declared_list, objectives) if d > cap)
+    under_loss_total = _sum(len(shard) * f
+                            for d, shard, f in zip(declared_list, shards, objectives) if d <= cap)
     rhs = abs(over + (1.0 / declared_total - 1.0 / capped_total) * under_loss_total)
     return lhs, rhs

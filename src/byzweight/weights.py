@@ -68,6 +68,16 @@ def exact_counts(values) -> np.ndarray:
     return array.astype(object if wide else np.int64, copy=False)
 
 
+def exact_cap(cap, least: int = 0, name: str = "cap") -> int:
+    """`cap` as a Python int, a count by `exact_counts`' rule (a Python int, bools
+    among them, or a numpy integer) of at least `least` (0 or 1); else ValueError naming it."""
+    if not isinstance(cap, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {cap!r}")
+    if cap < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {cap}")
+    return int(cap)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """Client weights sorted non-decreasing, one read-only `exact_counts`
@@ -187,8 +197,7 @@ def top_share(v: WeightVector, fraction: Union[Fraction, int, float, str]) -> Fr
 
 def truncate(v: WeightVector, cap: int) -> WeightVector:
     """Cap every weight at `cap`."""
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
+    cap = exact_cap(cap)
     # a cap at or above the largest weight changes none, and may not fit in int64
     return v if cap >= v.values[-1] else WeightVector(np.minimum(v.values, cap))
 
@@ -300,25 +309,26 @@ class Truncate:
 PreprocessMode = Union[Passthrough, Ignore, Truncate]
 
 
-def preprocess(declared: Iterable[int], mode: PreprocessMode) -> list[int]:
+def preprocess(declared: Iterable[int], mode: PreprocessMode) -> np.ndarray:
     """Each client's weight under a preprocessing mode, in the order of the
-    declared counts: the count itself, 1, or the count capped at the solved
-    bound.  Every mode checks the counts with `exact_counts`; only Truncate sorts."""
+    declared counts, as one read-only `exact_counts` array (the caller's stays
+    writeable): the count itself, 1, or the count capped at the solved bound.
+    Every mode checks the counts with `exact_counts`; only Truncate sorts."""
     counts = exact_counts(declared)
     if isinstance(mode, Ignore):
-        return [1] * len(counts)
-    if isinstance(mode, Truncate):
+        counts = np.ones(len(counts), np.int64)
+    elif isinstance(mode, Truncate):
         outcome = solve_truncation(WeightVector(np.sort(counts)), mode.query)
         if outcome.status == TruncationStatus.INFEASIBLE:
-            raise PreprocessInfeasible(
-                f"no cap satisfies share limit {mode.query.alpha_star} "
-                f"at fraction {mode.query.alpha}"
-            )
-        if outcome.status == TruncationStatus.SOLVED:
-            counts = np.minimum(counts, outcome.cap)
+            raise PreprocessInfeasible(f"no cap satisfies share limit {mode.query.alpha_star} "
+                                       f"at fraction {mode.query.alpha}")
+        if outcome.status == TruncationStatus.SOLVED:  # int64 again once the cap fits in it
+            counts = exact_counts(np.minimum(counts, outcome.cap))
     elif not isinstance(mode, Passthrough):
         raise TypeError(f"unknown preprocess mode: {mode!r}")
-    return counts.tolist()
+    counts = counts.view()
+    counts.flags.writeable = False
+    return counts
 
 
 def read_weights_file(path) -> WeightVector:

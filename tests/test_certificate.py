@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_margins_zero_cap():
     for cap in (0, -1):
         with pytest.raises(ValueError, match=rf"^cap \(--u\) must be positive, got {cap}$"):
             params(cap=cap, alpha=F(1, 2))
+
+
+def test_cap_must_be_an_integer():
+    # a fractional cap was accepted, and false_certification_rate then failed
+    # naming a weight; a cap is a count by exact_counts' rule
+    for cap, shown in ((7.5, "7.5"), (7.0, "7.0"), (np.float64(7.0), "np.float64(7.0)"),
+                       ("7", "'7'")):
+        message = f"cap (--u) must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params(cap=cap)
+    for cap in (np.int64(4), np.int32(4), np.uint64(4)):
+        assert type(params(cap=cap).cap) is int and params(cap=cap) == params(cap=4)
 
 
 def test_delta_whose_log_term_overflows_is_refused():

@@ -785,13 +785,20 @@ def test_weights_and_totals_beyond_float_range_rejected(kind):
 
 
 def test_select_clients_full_and_sampled():
-    assert select_clients(3, 5, None, 0) == (0, 1, 2, 3, 4)
-    assert select_clients(3, 5, 5, 0) == (0, 1, 2, 3, 4)
+    # an ascending int64 id array; the sampled ids are the ones the tuple of
+    # sorted draws held before the ids became an array
+    for per_round in (None, 5):
+        everyone = select_clients(3, 5, per_round, 0)
+        assert everyone.dtype == np.int64 and everyone.tolist() == [0, 1, 2, 3, 4]
     picked = select_clients(9, 20, 6, 123)
-    assert picked == select_clients(9, 20, 6, 123)
-    assert len(picked) == 6 and len(set(picked)) == 6
-    assert picked != select_clients(10, 20, 6, 123)
-    assert len(select_clients(1, 10, 0.25, 0)) == 3
+    assert picked.dtype == np.int64 and picked.tolist() == [1, 3, 4, 7, 9, 14]
+    assert np.array_equal(picked, select_clients(9, 20, 6, 123))
+    assert select_clients(10, 20, 6, 123).tolist() == [1, 10, 11, 15, 18, 19]
+    assert select_clients(1, 10, 0.25, 0).tolist() == [3, 4, 7]
+    # each round draws m of the population from its own select stream, sorted
+    for t, population, m, seed in ((9, 20, 6, 123), (1, 10, 3, 0), (4, 1000, 999, 7)):
+        drawn = stream(seed, engine._TAG_SELECT, t).choice(population, size=m, replace=False)
+        assert select_clients(t, population, m, seed).tolist() == sorted(drawn.tolist())
 
 
 def test_select_clients_inclusion_frequency():
@@ -850,7 +857,7 @@ def spy_aggregation(monkeypatch) -> list:
 
     def aggregate_spy(kind, updates, weights):
         (row,) = weights  # a group of one cell aggregates one weight row
-        seen[-1] += (tuple(row),)
+        seen[-1] += (row,)
         return aggregate_as_is(kind, updates, weights)
 
     monkeypatch.setattr(engine, "select_clients", select_spy)
@@ -867,10 +874,12 @@ def test_aggregation_sees_preprocessed_weights_only(monkeypatch):
     mode = Truncate(TruncationQuery("1/6", "1/3"))
     run_training(model, clients, test, cfg, [(mode, WeightedMean())])
     expected = preprocess([c.declared_size for c in clients], mode)
-    assert len(seen) == 3
+    assert expected.tolist() == [30, 35, 107, 45, 50, 55]  # the liar was actually capped
+    # the rounds draw the ids they drew when they were tuples
+    assert [(t, ids.tolist()) for t, ids, _ in seen] == [
+        (1, [1, 2, 3, 4]), (2, [0, 2, 3, 5]), (3, [0, 2, 4, 5])]
     for t, ids, weights in seen:
-        assert weights == tuple(expected[i] for i in ids)
-    assert expected[2] < 10**6  # the liar was actually capped
+        assert weights.dtype == np.int64 and weights.tolist() == [expected[i] for i in ids]
 
 
 def test_ignore_mode_weights_everyone_equally(monkeypatch):
@@ -880,7 +889,7 @@ def test_ignore_mode_weights_everyone_equally(monkeypatch):
     seen = spy_aggregation(monkeypatch)
     cfg = toy_config(rounds=1, batch_size=16)
     run_training(model, clients, test, cfg, [(Ignore(), WeightedMean())])
-    assert seen[0][2] == (1,) * 6
+    assert seen[0][2].tolist() == [1] * 6
 
 
 def test_sample_budget_is_the_preprocessed_weight():
@@ -948,6 +957,27 @@ def test_one_initial_model_and_one_selection_per_round(monkeypatch):
     infeasible = [(Truncate(TruncationQuery("1/2", "1/4")), WeightedMean())]  # alpha* < alpha
     assert run_training(model, clients, test, cfg, infeasible) == [(None, [])]
     assert built == []
+
+
+def test_row_counts_under_weights_past_int64_key_one_pool(monkeypatch):
+    # a weight of 2^64 makes the mode's weight array an object array; the
+    # row counts min(weight, rows held) are int64 all the same, so the two
+    # cells of the mode share one row pool, keyed on those bytes
+    pools, row_pool = [], engine._row_pool
+
+    def pool_spy(model, clients, cfg, n):
+        pools.append(n)
+        return row_pool(model, clients, cfg, n)
+
+    monkeypatch.setattr(engine, "_row_pool", pool_spy)
+    sizes = [30 + 5 * i for i in range(6)]
+    ds = generate_blobs(sum(sizes), dim=6, classes=3, seed=0)
+    clients = population(*split_by_sizes(ds, sizes, seed=1), {2: 2**64}, {2: Behavior.LABEL_SHIFT})
+    cfg = toy_config(rounds=2, batch_size=16, honest_use_all_samples=False)
+    cells = [(Passthrough(), WeightedMean()), (Passthrough(), WeightedMedian())]
+    runs = run_training(SoftmaxRegression(dim=6, classes=3), clients, ds, cfg, cells)
+    assert len(pools) == 1 and pools[0].dtype == np.int64 and pools[0].tolist() == sizes
+    assert [len(metrics) for _, metrics in runs] == [2, 2]
 
 
 def test_each_distinct_model_is_evaluated_once(monkeypatch):

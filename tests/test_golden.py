@@ -11,9 +11,12 @@ and off, a softmax model, fractional and absolute batch sizes, two epochs,
 from __future__ import annotations
 
 import hashlib
+import importlib
+import pkgutil
 
 import pytest
 
+import byzweight
 from byzweight.cli import main
 from byzweight.config import parse_config
 from byzweight.experiment import build_task
@@ -304,6 +307,36 @@ def test_cli_output_pinned(tmp_path, capsys, name):
         assert sha256(out.encode()) == stdout
     written = {p.name: sha256(p.read_bytes()) for p in sorted(paths["out"].glob("*"))}
     assert written == files
+
+
+def compensated_sum(terms, start=0):
+    """The builtin sum as Python 3.12 computes it: exact over ints, and over
+    floats with a Neumaier compensation term added at the end."""
+    total, compensation = start, 0.0
+    for x in terms:
+        if isinstance(total, int) and isinstance(x, int):
+            total += x
+            continue
+        before = float(total)
+        total = before + x
+        big, small = (before, x) if abs(before) >= abs(x) else (x, before)
+        compensation += (big - total) + small
+    return total + compensation if isinstance(total, float) else total
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(tmp_path, capsys, monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated, and the package
+    # allows Python 3.10 on: with that sum in every byzweight module, `bound`
+    # and a `simulate` grid print and write their pinned bytes
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert compensated_sum([2**63, 2**64, 1]) == 2**63 + 2**64 + 1
+    for module in pkgutil.iter_modules(byzweight.__path__):
+        module = importlib.import_module(f"byzweight.{module.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    for name in ("bound", "simulate"):
+        (tmp_path / name).mkdir()
+    test_cli_output_pinned(tmp_path / "bound", capsys, "bound")
+    test_simulate_output_pinned(tmp_path / "simulate", "softmax", 1)
 
 
 # The benchmark's two training grids at seed 1, as its workloads write them:

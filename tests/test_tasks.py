@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -472,8 +473,37 @@ def test_gap_input_validation():
     model, w, shards, declared = _gap_instance(rng)
     with pytest.raises(SizeMismatch):
         objective_gap(model, w, shards, declared[:-1], cap=5)
-    with pytest.raises(ValueError):
-        objective_gap(model, w, shards, declared, cap=0)
     with pytest.raises(ValueError, match="^declared counts must carry positive total weight$"):
         objective_gap(model, w, shards, [0] * len(shards), cap=5)
+    # counts take the one weight guard, exact_counts: 10.9 was read as 10,
+    # and -5 and "10" were taken too
+    for bad, shown in ((10.9, "10.9"), (-5, "-5"), ("10", "'10'"), (None, "None")):
+        message = f"weights must be non-negative integers, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            objective_gap(model, w, shards, [bad] + declared[1:], cap=5)
+    # a cap is an integer too: 7.5 and 7.0 were used as they came
+    for cap, shown in ((7.5, "7.5"), (7.0, "7.0"), (np.float64(7.0), "np.float64(7.0)")):
+        message = f"cap (--u) must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            objective_gap(model, w, shards, declared, cap=cap)
+    with pytest.raises(ValueError, match=r"^cap \(--u\) must be positive, got 0$"):
+        objective_gap(model, w, shards, declared, cap=0)
+    assert objective_gap(model, w, shards, declared, cap=np.uint64(7)) == objective_gap(
+        model, w, shards, declared, cap=7)
+
+
+def test_gap_counts_past_int64_stay_exact():
+    # a count of 2^63 or 2^64 is a Python int, as [int(x) for x in declared]
+    # made it: the values are those that list gave, from a list or an array
+    rng = np.random.default_rng(54)
+    model, w, shards, declared = _gap_instance(rng)
+    for big, cap, want in (
+        (2**63, 5, (0.15972072715094576, 0.15972072715094604)),
+        (2**63, 100, (0.14395898391011253, 0.514669421120596)),
+        (2**64, 5, (0.15972072715096042, 0.15972072715096008)),
+        (2**64, 100, (0.14395898391012718, 0.5146694211206102)),
+    ):
+        lying = [big] + declared[1:]
+        assert objective_gap(model, w, shards, lying, cap=cap) == want
+        assert objective_gap(model, w, shards, np.array(lying, object), cap=cap) == want
 

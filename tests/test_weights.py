@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import threading
 from itertools import accumulate
 from fractions import Fraction as F
@@ -146,8 +147,21 @@ def test_truncate_basics():
     v = wv(1, 1, 1, 1, 100)
     assert truncate(v, 4).values.tolist() == [1, 1, 1, 1, 4]
     assert truncate(v, 1000).values.tolist() == v.values.tolist()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cap must be non-negative, got -1$"):
         truncate(v, -1)
+
+
+def test_truncate_takes_integer_caps_only():
+    # a cap is a count by exact_counts' rule, and a refusal names the cap
+    v = wv(1, 1, 1, 1, 100)
+    for cap in (4, np.int64(4), np.int32(4), np.uint64(4)):
+        assert truncate(v, cap).values.tolist() == [1, 1, 1, 1, 4]
+        assert truncate(v, cap).values.dtype == np.int64
+    assert truncate(v, True).values.tolist() == [1] * 5
+    for cap, shown in ((7.0, "7.0"), (2.5, "2.5"), (np.float64(7.0), "np.float64(7.0)"),
+                       (float("nan"), "nan"), ("7", "'7'"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^cap must be an integer, got {re.escape(shown)}$"):
+            truncate(v, cap)
 
 
 @given(weight_vectors(), st.integers(1, 80), st.integers(1, 80))
@@ -423,13 +437,22 @@ def test_tradeoff_curve_is_monotone():
 
 # ------------------------------------------------------------------ preprocess
 
+def weights(declared, mode) -> list:
+    """preprocess's weights as a list, once its array is checked: read-only,
+    and int64 unless a weight reaches 2^63."""
+    out = preprocess(declared, mode)
+    assert isinstance(out, np.ndarray) and not out.flags.writeable
+    assert out.dtype == (object if max(out.tolist()) >= 2**63 else np.int64)
+    return out.tolist()
+
+
 def test_preprocess_modes():
     declared = [1, 100, 1, 1, 1]
     q = TruncationQuery(F(1, 5), F(1, 2))
-    assert preprocess(declared, Passthrough()) == declared
-    assert preprocess(declared, Ignore()) == [1, 1, 1, 1, 1]
-    assert preprocess(declared, Truncate(q)) == [1, 4, 1, 1, 1]
-    assert preprocess([2, 2, 2, 2], Truncate(TruncationQuery(F(1, 4), F(1, 2)))) == [2, 2, 2, 2]
+    assert weights(declared, Passthrough()) == declared
+    assert weights(declared, Ignore()) == [1, 1, 1, 1, 1]
+    assert weights(declared, Truncate(q)) == [1, 4, 1, 1, 1]
+    assert weights([2, 2, 2, 2], Truncate(TruncationQuery(F(1, 4), F(1, 2)))) == [2, 2, 2, 2]
 
     with pytest.raises(PreprocessInfeasible):
         preprocess([1, 1], Truncate(TruncationQuery(F(1, 2), F(2, 5))))
@@ -448,8 +471,8 @@ def test_preprocess_is_elementwise_in_client_order(declared, data):
     # weights come back in the order the counts were declared, each a
     # function of its own count: itself, 1, or its min with the cap
     declared = data.draw(st.permutations(declared + declared[: data.draw(st.integers(0, 3))]))
-    assert preprocess(declared, Passthrough()) == declared
-    assert preprocess(declared, Ignore()) == [1] * len(declared)
+    assert weights(declared, Passthrough()) == declared
+    assert weights(declared, Ignore()) == [1] * len(declared)
     if not any(declared):
         return
     k = len(declared)
@@ -461,7 +484,7 @@ def test_preprocess_is_elementwise_in_client_order(declared, data):
             preprocess(declared, Truncate(q))
     else:
         want = declared if cap is None else [min(d, cap) for d in declared]
-        assert preprocess(declared, Truncate(q)) == want
+        assert weights(declared, Truncate(q)) == want
 
 
 # --------------------------------------------------------------- serialization

@@ -14,8 +14,12 @@ differences, each marked in its row:
   int64 array (the tuple refused them as not Python ints);
 - `from_values` and `preprocess` name a non-integer as the constructor does,
   where the tuple's `sorted` raised TypeError on the comparison;
-- accepted values come back as array elements (`WeightVector`) or Python
-  ints (`preprocess`), so a bool count reads as 0 or 1.
+- accepted values come back as array elements, so a bool count reads as 0
+  or 1.
+
+`preprocess` returns one read-only `exact_counts` array in client order, as
+the vector does in sorted order; where the tuple-backed code gave a list of
+Python ints, the table holds the array's values.
 """
 
 from __future__ import annotations
@@ -115,26 +119,31 @@ def check(call, want, path="<path>"):
     return call()
 
 
-def check_vector(call, want, path="<path>"):
+def check_array(out, want, values):
+    assert out.tolist() == want
+    assert out.dtype == (object if max(want) >= 2**63 else np.int64)
+    assert not out.flags.writeable
+    assert not isinstance(values, np.ndarray) or values.flags.writeable  # the caller's array
+
+
+def check_vector(call, want, path="<path>", values=None):
     v = check(call, want, path)
     if v is not None:
-        assert v.values.tolist() == want
-        assert v.values.dtype == (object if max(want) >= 2**63 else np.int64)
-        assert not v.values.flags.writeable
+        check_array(v.values, want, values)
 
 
-def check_list(call, want):
+def check_weights(call, want, values):
     out = check(call, want)
     if out is not None:
-        assert out == want and all(type(x) is int for x in out)
+        check_array(out, want, values)
 
 
 @pytest.mark.parametrize("values, want", ROWS, ids=[repr(r[0]) for r in ROWS])
 def test_boundary_inputs(tmp_path, values, want):
-    check_vector(lambda: WeightVector(values), want[0])
-    check_vector(lambda: WeightVector.from_values(values), want[1])
+    check_vector(lambda: WeightVector(values), want[0], values=values)
+    check_vector(lambda: WeightVector.from_values(values), want[1], values=values)
     for mode, expected in zip((Passthrough(), Ignore(), Truncate(QUERY)), want[2:5]):
-        check_list(lambda: preprocess(values, mode), expected)
+        check_weights(lambda: preprocess(values, mode), expected, values)
     if want[5] is not None:
         path = tmp_path / "w.txt"
         path.write_text("".join(f"{x}\n" for x in values))
@@ -149,6 +158,18 @@ def test_vector_holds_a_read_only_view():
     assert counts.flags.writeable and not v.values.flags.writeable
     with pytest.raises(ValueError):
         v.values[0] = 5
+
+
+@pytest.mark.parametrize("mode", [Passthrough(), Truncate(TruncationQuery(F(1, 3), F(1, 2)))])
+def test_preprocess_returns_a_read_only_view(mode):
+    # counts that need no cap come back as a read-only view of the caller's
+    # int64 array, which stays writeable
+    counts = np.array([1, 2, 3])
+    out = preprocess(counts, mode)
+    assert np.shares_memory(out, counts) and out.tolist() == [1, 2, 3]
+    assert counts.flags.writeable and not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0] = 5
 
 
 # one odd line of a weights file, and the outcome it gives: its value, or
