@@ -22,13 +22,13 @@ one aggregator kind share it.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
-part; the subset stream once per set of usable rows for each client that
-trains on fewer rows than it holds (keyed on the client alone); and per (round,
-training client) the shuffle stream when it trains on more than one row,
-and per distinct model the dropout stream when dropout_rate > 0.  Each
-purpose has its own tag, so a stream left unbuilt changes no other draw.
-A round's shuffle streams are seeded in one batch (streams), drawing the
-same numbers.
+part; the subset stream once per set of usable rows for each client cut
+to fewer rows than it holds but more than none (keyed on the client alone);
+and per (round, training client) the shuffle stream when it trains on more
+than one row, and per distinct model the dropout stream when dropout_rate >
+0.  Each purpose has its own tag, so a stream left unbuilt changes no other
+draw.  A round's shuffle streams, and a row pool's subset streams, are
+seeded in one batch (streams), drawing the same numbers.
 """
 
 from __future__ import annotations
@@ -249,25 +249,20 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_pool(model, clients: Clients, cfg: TrainConfig, n: np.ndarray):
-    """The rows each client trains on in every round, with each client's
-    first row in them and its row count: none for a model-negation attacker,
-    else its n usable rows; under label shift, labels y become (classes-1)-y
-    in a copy of the labels.  Under honest_use_all_samples that is
-    clients.data's own features; without it, a fixed subset of each client's rows."""
-    data, size = clients.data, clients.size
-    n = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, n)
-    shift = np.repeat(clients.behavior == Behavior.LABEL_SHIFT, size)
-    if shift.any():
-        labels = np.where(shift, (model.classes - 1) - data.labels, data.labels)
-        data = Dataset(data.features, labels)
-    if cfg.honest_use_all_samples:
-        return data, clients.start, n
+def _row_pool(data: Dataset, clients: Clients, n: np.ndarray, seed: int):
+    """Where each client's n rows of data sit: a pool and each client's first
+    row in it.  While no client is cut (0 < n < rows held), data itself from
+    clients.start; else a gathered pool, client by client, of every row of a
+    client with n == rows held and each cut client's fixed subset, the first
+    n of a permutation from its subset stream (seeded in one batch, streams)."""
+    size = clients.size
+    cut = np.flatnonzero((0 < n) & (n < size))
+    if not cut.size:
+        return data, clients.start
     rows = np.repeat(n == size, size)
-    for i in np.flatnonzero((0 < n) & (n < size)).tolist():
-        pick = stream(cfg.master_seed, _TAG_SUBSET, i).permutation(size[i])[:n[i]]
-        rows[clients.start[i] + pick] = True
-    return data.subset(rows), np.cumsum(n) - n, n
+    for i, rng in zip(cut.tolist(), streams(seed, _TAG_SUBSET, cut)):
+        rows[clients.start[i] + rng.permutation(size[i])[:n[i]]] = True
+    return data.subset(rows), np.cumsum(n) - n
 
 
 def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
@@ -518,30 +513,35 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     distinct mode is preprocessed once into one weight array, which its
     cells share and each round indexes with select_clients' id array.
 
-    Cells whose clients have the same usable rows (all held under
-    honest_use_all_samples, else min(weight, rows held)) form a row group: one
-    row pool (_row_pool), and one round_plan a round.  Its models that are
-    byte-equal at a round's start train once into one (m, P) matrix, which
-    each aggregator kind reads once for the stack of their weight rows.  Each
-    distinct model is evaluated once a run, keyed on a digest of its bytes
-    (the bytes of every round's models would grow with the rounds); a
-    non-finite one ends its runs on NaN metrics.
+    Label-shift labels y become (classes-1)-y once a run; model-negation
+    attackers train on no rows.  Cells whose clients have the same usable rows
+    (the rest all held under honest_use_all_samples, else min(weight, rows
+    held)) form a row group: one row pool (_row_pool), and one round_plan a
+    round.  Its models that are byte-equal at a round's start train once into
+    one (m, P) matrix, which each aggregator kind reads once for the stack of
+    their weight rows.  Each distinct model is evaluated once a run, keyed on a
+    digest of its bytes (the bytes of every round's models would grow with the
+    rounds); a non-finite one ends its runs on NaN metrics.
     """
     weights = {}  # one preprocess call a distinct mode, none kept when it is infeasible
     for mode in dict.fromkeys(mode for mode, _ in cells):
         with contextlib.suppress(PreprocessInfeasible):
             weights[mode] = preprocess(clients.declared, mode)
+    data, behavior = clients.data, clients.behavior
+    if (shift := np.repeat(behavior == Behavior.LABEL_SHIFT, clients.size)).any():
+        data = Dataset(data.features, np.where(shift, (model.classes - 1) - data.labels, data.labels))
+    held = np.where(behavior == Behavior.MODEL_NEGATION, 0, clients.size)  # rows each may train on
     pools, runs = {}, []  # pools: usable rows -> (pool, offset, n)
     for mode, kind in cells:
         runs.append(run := SimpleNamespace(kind=kind, rows=None, w=None, metrics=[]))
         run.weight = weights.get(mode)
         if run.weight is None:
             continue  # the run never starts
-        n = clients.size if cfg.honest_use_all_samples else np.minimum(run.weight, clients.size)
+        n = held if cfg.honest_use_all_samples else np.minimum(run.weight, held)
         n = n.astype(np.int64, copy=False)  # object past 2^63; int64 bytes key the pools
         run.rows = n.tobytes()
         if run.rows not in pools:
-            pools[run.rows] = _row_pool(model, clients, cfg, n)
+            pools[run.rows] = (*_row_pool(data, clients, n, cfg.master_seed), n)
     live = [r for r in runs if r.rows is not None]
     w0 = model.init_params(stream(cfg.master_seed, _TAG_INIT)) if live else None
     for r in live:

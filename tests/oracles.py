@@ -222,14 +222,14 @@ def stable_trimmed_mean(updates, weights, beta: float) -> np.ndarray:
 
 def per_trial_false_certification_rate(population, params, trials: int, seed: int) -> float:
     """false_certification_rate with a fresh np.random.default_rng((seed,
-    trial)) per trial: the reference for the library's batch-seeded streams."""
-    from byzweight.certificate import certify_sample, int64_weights
-    from byzweight.weights import top_share, truncate
+    trial)) per trial: the reference for the library's batch-seeded streams.
+    The population is capped, and its share checked, in Python ints."""
+    from byzweight.certificate import certify_sample
 
-    capped = truncate(population, params.cap)
-    if top_share(capped, params.alpha) <= params.alpha_star:
+    capped = sorted(min(int(x), params.cap) for x in population.values)
+    if reference_top_share(capped, params.alpha) <= params.alpha_star:
         return 0.0
-    values = int64_weights(capped.values)
+    values = np.array(capped, dtype=np.int64)  # a count past int64 raises OverflowError
     hits = 0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))

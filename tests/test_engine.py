@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -86,12 +87,16 @@ def population(data, sizes, declared=None, behavior=None):
 
 def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
     """client_update of the chosen clients (all by default) over the row pool
-    run_training builds for these weights (by default the declared counts)."""
+    run_training builds for these weights (by default the declared counts):
+    label-shift labels flipped, no rows for a model-negation attacker, and
+    without honest_use_all_samples min(weight, rows held)."""
     weight = clients.declared if weight is None else weight
-    usable = clients.size
+    data, shift = clients.data, np.repeat(clients.behavior == Behavior.LABEL_SHIFT, clients.size)
+    data = Dataset(data.features, np.where(shift, (model.classes - 1) - data.labels, data.labels))
+    count = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, clients.size)
     if not cfg.honest_use_all_samples:
-        usable = np.array([*map(min, weight, usable.tolist())])
-    pool, offset, count = engine._row_pool(model, clients, cfg, usable)
+        count = np.array([*map(min, weight, count.tolist())])
+    pool, offset = engine._row_pool(data, clients, count, cfg.master_seed)
     at = np.arange(len(clients)) if chosen is None else np.array(chosen, dtype=np.int64)
     updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
     plan = round_plan(at, offset[at], count[at], cfg, round_index)
@@ -116,6 +121,25 @@ def toy_config(**kw):
 
 
 PLAIN = [(Passthrough(), WeightedMean())]  # one cell: passthrough weights, weighted mean
+
+
+def spy_streams(monkeypatch) -> list:
+    """Record the key of every stream engine builds, alone (stream) or in a
+    batch (streams), each as the tuple stream would be keyed on."""
+    built = []
+
+    def spy(*keys):
+        built.append(keys)
+        return stream(*keys)
+
+    def batch_spy(*parts):
+        cols = np.broadcast_arrays(*map(np.atleast_1d, parts))
+        built.extend(tuple(int(x) for x in key) for key in zip(*cols))
+        return streams(*parts)
+
+    monkeypatch.setattr(engine, "stream", spy)
+    monkeypatch.setattr(engine, "streams", batch_spy)
+    return built
 
 
 # ------------------------------------------------------------- client update
@@ -182,20 +206,7 @@ def test_fractional_batch_size_resolves_per_client():
 def test_streams_built_only_where_drawn(monkeypatch, model, drops):
     # one-row shards draw no shuffle; only a model that drops units gets a
     # dropout stream, and then exactly one per (round, client)
-    built = []
-
-    def spy(*keys):
-        built.append(keys)
-        return stream(*keys)
-
-    def batch_spy(*parts):
-        # each key the batch seeds, as the tuple stream would be keyed on
-        cols = np.broadcast_arrays(*map(np.atleast_1d, parts))
-        built.extend(tuple(int(x) for x in key) for key in zip(*cols))
-        return streams(*parts)
-
-    monkeypatch.setattr(engine, "stream", spy)
-    monkeypatch.setattr(engine, "streams", batch_spy)
+    built = spy_streams(monkeypatch)
     sizes = (1, 4, 1, 7, 2, 1)
     clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
                          {4: 50}, {4: Behavior.LABEL_SHIFT})
@@ -338,13 +349,7 @@ def test_equal_length_batches_share_one_gradient_call(monkeypatch):
 
 
 def test_fixed_subset_built_once_per_run(monkeypatch):
-    built = []
-
-    def spy(*keys):
-        built.append(keys)
-        return stream(*keys)
-
-    monkeypatch.setattr(engine, "stream", spy)
+    built = spy_streams(monkeypatch)
     # client 5, a model-negation attacker, holds more rows than its weight of 1 but trains on none
     sizes = (1, 4, 1, 7, 2, 5)
     clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=5), sizes, seed=6),
@@ -357,9 +362,11 @@ def test_fixed_subset_built_once_per_run(monkeypatch):
 
 
 def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
-    # under honest_use_all_samples client_update reads the clients' own
-    # features; a label-shift client gets a copy of the labels in which only
-    # its own rows' labels are flipped, and without one nothing is copied
+    # while no client is cut (under honest_use_all_samples, or without it at
+    # weights of at least every client's rows) client_update reads the
+    # clients' own features; a label-shift client gets a copy of the labels
+    # in which only its own rows' labels are flipped, and without one
+    # nothing is copied
     pools, update = [], engine.client_update
 
     def spy(model, w, plan, pool, updates):
@@ -370,10 +377,11 @@ def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
     sizes = (3, 1, 4, 2)
     data = split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=8), sizes, seed=9)
     model = SoftmaxRegression(dim=4, classes=3)
-    for shifted in ({}, {2: Behavior.LABEL_SHIFT}):
+    for shifted, use_all in itertools.product(({}, {2: Behavior.LABEL_SHIFT}), (True, False)):
         pools.clear()
         clients = population(*data, {i: 50 for i in shifted}, shifted)
-        run_training(model, clients, clients[0].data, toy_config(rounds=2), PLAIN)
+        cfg = toy_config(rounds=2, honest_use_all_samples=use_all)
+        run_training(model, clients, clients[0].data, cfg, PLAIN)
         assert len(pools) == 2 and pools[0] is pools[1]
         pool = pools[0]
         assert np.shares_memory(pool.features, clients.data.features)
@@ -925,19 +933,17 @@ def test_sample_budget_is_the_preprocessed_weight():
 
 def test_one_initial_model_and_one_selection_per_round(monkeypatch):
     # two row groups, passthrough on every row and truncate on at most its
-    # cap of 30, start from one initial model and share each round's
-    # selection; a run with no feasible cell draws neither
-    built, pools, row_pool = [], [], engine._row_pool
+    # cap of 30, start from one initial model, build their pools from one
+    # dataset whose label-shift labels were flipped once (the uncut group's
+    # pool is that dataset) and share each round's selection; a run with no
+    # feasible cell draws neither
+    pools, row_pool = [], engine._row_pool
+    built = spy_streams(monkeypatch)
 
-    def spy(*keys):
-        built.append(keys)
-        return stream(*keys)
+    def pool_spy(data, clients, n, seed):
+        pools.append((data, n.tolist(), row_pool(data, clients, n, seed)))
+        return pools[-1][2]
 
-    def pool_spy(model, clients, cfg, n):
-        pools.append(n.tolist())
-        return row_pool(model, clients, cfg, n)
-
-    monkeypatch.setattr(engine, "stream", spy)
     monkeypatch.setattr(engine, "_row_pool", pool_spy)
     model = SoftmaxRegression(dim=6, classes=3)
     clients = blob_clients(behavior_map={2: Behavior.LABEL_SHIFT})
@@ -946,11 +952,19 @@ def test_one_initial_model_and_one_selection_per_round(monkeypatch):
                      master_seed=7)
     cells = [(Passthrough(), WeightedMean()), (Truncate(TruncationQuery("1/2", "1/2")), WeightedMean())]
     run_training(model, clients, test, cfg, cells)
-    assert pools == [[30, 35, 40, 45, 50, 55], [30] * 6]
+    assert [n for _, n, _ in pools] == [[30, 35, 40, 45, 50, 55], [30] * 6]
+    (data, _, (whole, start)), (again, _, (cut, _)) = pools
+    assert again is data and whole is data and np.array_equal(start, clients.start)
+    assert np.shares_memory(data.features, clients.data.features)
+    assert not np.shares_memory(cut.features, clients.data.features)
+    want = clients.data.labels.copy()
+    want[65:105] = 2 - want[65:105]  # client 2's rows
+    assert data.labels.tobytes() == want.tobytes()
 
     def keys_of(tag):
         return sorted(k[2:] for k in built if k[:2] == (7, tag))
 
+    assert keys_of(engine._TAG_SUBSET) == [(1,), (2,), (3,), (4,), (5,)]  # client 0 holds 30
     assert keys_of(engine._TAG_INIT) == [()]
     assert keys_of(engine._TAG_SELECT) == [(1,), (2,), (3,)]
     built.clear()
@@ -965,9 +979,9 @@ def test_row_counts_under_weights_past_int64_key_one_pool(monkeypatch):
     # cells of the mode share one row pool, keyed on those bytes
     pools, row_pool = [], engine._row_pool
 
-    def pool_spy(model, clients, cfg, n):
+    def pool_spy(data, clients, n, seed):
         pools.append(n)
-        return row_pool(model, clients, cfg, n)
+        return row_pool(data, clients, n, seed)
 
     monkeypatch.setattr(engine, "_row_pool", pool_spy)
     sizes = [30 + 5 * i for i in range(6)]
