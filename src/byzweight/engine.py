@@ -12,13 +12,15 @@ client's id is its position in them.
 run_training trains cells of one TrainConfig, which differ only in preprocess
 mode and aggregator, in lockstep: one selection a round, one round_plan (its
 shuffles and batch schedule) per set of usable rows, and each distinct model
-trains once (client_update, whose clients step in lockstep too, which
-changes no bit) into one matrix in ascending client id.  The median and
-trimmed mean rank client-major copies of it, a cache-sized block of
-columns at a time, ties in client order (_rank): one int64 sort of keys that
-pack a value's high bits above its client id, and a stable argsort of the
-few rows that come out of order.  The ranking reads no weight, so runs of
-one aggregator kind share it.
+trains once (client_update, whose lanes step in lockstep too, which changes
+no bit) into one matrix in ascending client id.  With M > 1 models, its
+chained clients (more than one batch; most rows first, at most m // M of m)
+train once for all M, in one tiled pass: one more matrix at most.  The median
+and trimmed mean rank client-major copies of the matrix, a cache-sized block
+of columns at a time, ties in client order (_rank): one int64 sort of keys
+that pack a value's high bits above its client id, and a stable argsort of
+the few rows that come out of order.  The ranking reads no weight, so runs
+of one aggregator kind share it.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
@@ -67,11 +69,10 @@ _TAG_SHUFFLE = 3
 _TAG_DROPOUT = 4
 _TAG_SUBSET = 5
 
-# past glibc's mmap threshold a stack's temporaries are mapped and faulted in on every call
-_STACK_ROWS = 256  # rows per stacked gradient call; the faults, not compute per row, limit it
+_STACK_ROWS = 256  # rows per stacked gradient call (a tiled plan's may hold `models` slices)
 _INT64_MAX = np.iinfo(np.int64).max
-# round_plan's stream key, clients, row counts, stacked calls (clients, lanes, scales), and
-# each epoch's rows of each call
+# round_plan's stream key, each lane's client and row count, stacked calls (lanes as a slice
+# or an index, lanes, scales), and each epoch's rows of each call
 RoundPlan = namedtuple("RoundPlan", "seed round ids n stacks windows")
 
 
@@ -265,30 +266,36 @@ def _row_pool(data: Dataset, clients: Clients, n: np.ndarray, seed: int):
     return data.subset(rows), np.cumsum(n) - n
 
 
-def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
-               round_index: int) -> RoundPlan:
-    """What a round's local work reads besides the model, where client ids[i]
-    trains on the n[i] pool rows from offset[i]: one shuffle per epoch for
-    each client of more than one row, and the batches sorted by (step,
-    length, client), equal steps and lengths stacked up to _STACK_ROWS rows."""
+def _batch_sizes(cfg: TrainConfig, n: np.ndarray) -> np.ndarray:  # client i's, for n[i] rows
     b = cfg.batch_size
-    b = np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
+    return np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
+
+
+def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
+               round_index: int, models: int = 1) -> RoundPlan:
+    """What a round's local work reads besides the models, where client ids[i]
+    trains on the n[i] pool rows from offset[i], as lane i * models + j from
+    model j: one shuffle per epoch for each client of more than one row, which
+    its lanes share, and the batches sorted by (step, length, lane), equal
+    steps and lengths stacked up to _STACK_ROWS rows, or to models slices."""
+    b = _batch_sizes(cfg, n)
     many = n > 1
     shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
     perms = [[rng.permutation(k) for _ in range(cfg.epochs)] for rng, k in shuffles]
-    # the schedule: each batch as (client, start, length), sorted by (step, length, client);
+    # the schedule: each lane's batches as (lane, start, length), sorted by (step, length, lane);
     # start counts rows in the round's order, client by client
-    steps = -(-n // b)
-    lane = np.repeat(np.arange(n.size), steps)
+    steps = np.repeat(-(-n // b), models)
+    lane = np.repeat(np.arange(steps.size), steps)
+    who = lane // models
     step = np.arange(lane.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    length = np.minimum(b[lane], n[lane] - step * b[lane])
+    length = np.minimum(b[who], n[who] - step * b[who])
     order = np.lexsort((lane, length, step))
-    lane, step, length = lane[order], step[order], length[order]
-    start, scale = (np.cumsum(n) - n)[lane] + step * b[lane], cfg.eta * (length / b[lane])
+    lane, who, step, length = lane[order], who[order], step[order], length[order]
+    start, scale = (np.cumsum(n) - n)[who] + step * b[who], cfg.eta * (length / b[who])
     firsts = np.flatnonzero((np.diff(step, prepend=-1) != 0) | (np.diff(length, prepend=-1) != 0))
     bounds = []  # (first, end, batch length) in the sorted schedule
     for lo, hi in zip(firsts.tolist(), [*firsts[1:].tolist(), lane.size]):
-        per = max(1, _STACK_ROWS // int(length[lo]))
+        per = max(models, _STACK_ROWS // int(length[lo]))
         bounds += [(k, min(k + per, hi), int(length[lo])) for k in range(lo, hi, per)]
     stacks = [(slice(lane[lo], lane[lo] + 1) if hi - lo == 1 else lane[lo:hi], lane[lo:hi],
                scale[lo:hi, None]) for lo, hi, _ in bounds]
@@ -298,13 +305,15 @@ def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainCon
         if perms:
             index[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
         windows.append([index[start[lo:hi, None] + np.arange(size)] for lo, hi, size in bounds])
-    return RoundPlan(cfg.master_seed, round_index, ids, n, stacks, windows)
+    return RoundPlan(cfg.master_seed, round_index, np.repeat(ids, models), np.repeat(n, models),
+                     stacks, windows)
 
 
 def client_update(model, w: np.ndarray, plan: RoundPlan, pool: Dataset,
                   updates: np.ndarray) -> np.ndarray:
-    """One round of local work from w, written into updates (len(plan.ids),
-    P): row i is client plan.ids[i]'s update, on its pool rows in plan's order.
+    """One round of local work from each of the (models, P) start models w,
+    written into updates (len(plan.ids), P): row i is lane i's update, client
+    plan.ids[i]'s from model i % models, on its pool rows in plan's order.
 
     A client with no rows (a model-negation attacker) sends -w.  Every other
     client runs epochs passes of mini-batch SGD from w over its rows; a
@@ -313,19 +322,20 @@ def client_update(model, w: np.ndarray, plan: RoundPlan, pool: Dataset,
     once per epoch.
 
     Batches of equal length share stacked model.gradient calls, which
-    changes no bit: each client keeps its own parameters, rows and streams,
+    changes no bit: each lane keeps its own parameters, rows and streams,
     steps by the same float eta * (r / batch_size), and a stacked product
     computes each slice as a call on that slice alone.  Dropout masks come
-    from streams keyed on (round, client), built anew in each call.
+    from streams keyed on (round, client), built anew for each lane in each call.
     """
-    updates[:] = w
-    updates[plan.n == 0] = -w
+    for j, start in enumerate(w := np.atleast_2d(w)):  # (P,) is the stack of one
+        updates[j::len(w)] = start
+    np.negative(updates, out=updates, where=(plan.n == 0)[:, None])
     drops = getattr(model, "dropout_rate", 0) > 0
     dropout = drops and [stream(plan.seed, _TAG_DROPOUT, plan.round, i) if k else None
                          for k, i in zip(plan.n.tolist(), plan.ids.tolist())]
     for windows in plan.windows:
         for (who, lanes, scale), window in zip(plan.stacks, windows):
-            # one client's parameters are a view; several are gathered once and scattered back
+            # one lane's parameters are a view; several are gathered once and scattered back
             params = updates[who]
             rngs = [dropout[i] for i in lanes] if drops else None
             grad = model.gradient(params, pool.subset(window), rngs)
@@ -518,8 +528,9 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     (the rest all held under honest_use_all_samples, else min(weight, rows
     held)) form a row group: one row pool (_row_pool), and one round_plan a
     round.  Its models that are byte-equal at a round's start train once into
-    one (m, P) matrix, which each aggregator kind reads once for the stack of
-    their weight rows.  Each distinct model is evaluated once a run, keyed on a
+    one (m, P) matrix (M > 1 models: chained clients once for all M, copied in
+    from one tiled block), which each aggregator kind reads once for the stack
+    of their weight rows.  Each distinct model is evaluated once a run, keyed on a
     digest of its bytes (the bytes of every round's models would grow with the
     rounds); a non-finite one ends its runs on NaN metrics.
     """
@@ -551,20 +562,29 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
         if not live:
             break
         at = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
-        plans, starts = {}, {}  # starts: (rows, bytes) -> model, runs by kind
+        groups = {}  # usable rows -> {a model's bytes: (the model, its runs by kind)}
         for r in live:
-            _, kinds = starts.setdefault((r.rows, r.w.tobytes()), (r.w, {}))
+            _, kinds = groups.setdefault(r.rows, {}).setdefault(r.w.tobytes(), (r.w, {}))
             kinds.setdefault(r.kind, []).append(r)
-        for (rows, _), (w, kinds) in starts.items():
+        for rows, starts in groups.items():
             pool, offset, n = pools[rows]
-            if rows not in plans:  # a row group's plan and (m, P) updates matrix
-                plans[rows] = round_plan(at, offset[at], n[at], cfg, t), np.empty((len(at), len(w)))
-            plan, updates = plans[rows]
-            client_update(model, w, plan, pool, updates)
-            for kind, same in kinds.items():
-                stack = aggregate(kind, updates, [r.weight[at] for r in same])
-                for r, aggregated in zip(same, stack):
-                    r.w = aggregated
+            offset, n, ws = offset[at], n[at], np.stack([w for w, _ in starts.values()])
+            chains = (len(ws) > 1) & (cfg.epochs * -(-n // _batch_sizes(cfg, n)) > 1)  # > 1 batch
+            pick = np.flatnonzero(chains)[np.argsort(-n[chains], kind="stable")][:len(at) // len(ws)]
+            block = np.empty((len(ws) * pick.size, ws.shape[1]))  # at most one more (m, P)
+            if pick.size:
+                client_update(model, ws, round_plan(at[pick], offset[pick], n[pick], cfg, t, len(ws)),
+                              pool, block)
+                n[pick] = 0  # no batch in the group's plan; their rows are copied in from block
+            plan, updates = round_plan(at, offset, n, cfg, t), np.empty((len(at), ws.shape[1]))
+            for j, (w, kinds) in enumerate(starts.values()):
+                client_update(model, w, plan, pool, updates)
+                updates[pick] = block[j::len(ws)]
+                for kind, same in kinds.items():
+                    stack = aggregate(kind, updates, [r.weight[at] for r in same])
+                    for r, aggregated in zip(same, stack):
+                        r.w = aggregated
+            del block, updates  # freed before the next group's are allocated
         for r in live:
             if (key := hashlib.sha256(r.w.tobytes()).digest()) not in evals:
                 ok = np.all(np.isfinite(r.w))  # else the run ends on a NaN accuracy and loss

@@ -477,16 +477,19 @@ def test_run_grid_at_a_hundred_thousand_clients(tmp_path):
 def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
     # at --jobs 1 a scenario's cells train as one lockstep group: they start
     # from one row pool and one model, so round 1's local training runs once
-    # a scenario, and a later round's once for each distinct model
+    # a scenario, and a later round's once for each distinct model: each
+    # (model, client) lane trains once, whichever client_update call holds it
     cfg = parse_config(SMALL)
-    calls, groups, update, train = [], [], engine.client_update, experiment.run_training
+    lanes, groups, update, train = [], [], engine.client_update, experiment.run_training
 
     def train_spy(model, clients, test, train_cfg, train_cells):
         groups.append(len(train_cells))
         return train(model, clients, test, train_cfg, train_cells)
 
     def update_spy(model, w, plan, *rest):
-        calls.append((cfg.scenarios[len(groups) - 1], plan.round, w.tobytes()))
+        models = np.atleast_2d(w)  # lane i starts from model i % len(models)
+        lanes.extend((cfg.scenarios[len(groups) - 1], plan.round, models[i % len(models)].tobytes(), c)
+                     for i, (c, n) in enumerate(zip(plan.ids.tolist(), plan.n.tolist())) if n)
         return update(model, w, plan, *rest)
 
     monkeypatch.setattr(experiment, "run_training", train_spy)
@@ -494,8 +497,9 @@ def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):
     run_grid(cfg, out_dir=str(tmp_path), jobs=1)
     cells = len(cfg.preprocess_modes) * len(cfg.aggregator_kinds)
     assert groups == [cells] * len(cfg.scenarios)  # one group a scenario, scenarios in order
-    assert len(set(calls)) == len(calls)  # no model trains twice in a round
-    rounds = [[t for s, t, _ in calls if s == scenario] for scenario in cfg.scenarios]
+    assert len(set(lanes)) == len(lanes)  # no (model, client) lane trains twice in a round
+    starts = sorted({(s, t, w) for s, t, w, _ in lanes})
+    rounds = [[t for s, t, _ in starts if s == scenario] for scenario in cfg.scenarios]
     assert [r.count(1) for r in rounds] == [1] * len(cfg.scenarios)
     assert all(0 < r.count(t) <= cells for r in rounds for t in range(2, cfg.rounds + 1))
     # two cells that reach one model share its later rounds too: fewer calls than cells
@@ -565,11 +569,15 @@ def test_lockstep_cells_equal_cells_run_alone(monkeypatch):
     clients = {s: build_clients(cfg, s, shards) for s in cfg.scenarios}
     cells = grid_cells(cfg)
     update, train = engine.client_update, experiment.run_training
-    where, starts, ranked = [None, None], [], []  # where: (cell or scenario, last start)
+    # where: (cell or scenario, the last one-model call's start); lanes: (where, round, model, client)
+    where, lanes, ranked = [None, None], [], []
 
     def update_spy(model, w, plan, *rest):
-        where[1] = plan.round, w.tobytes()
-        starts.append((where[0], *where[1]))
+        models = np.atleast_2d(w)  # lane i starts from model i % len(models)
+        if len(models) == 1:
+            where[1] = plan.round, models[0].tobytes()
+        lanes.extend((where[0], plan.round, models[i % len(models)].tobytes(), c)
+                     for i, (c, n) in enumerate(zip(plan.ids.tolist(), plan.n.tolist())) if n)
         return update(model, w, plan, *rest)
 
     def rank_spy(kind, fn):
@@ -582,8 +590,8 @@ def test_lockstep_cells_equal_cells_run_alone(monkeypatch):
     for p, a, s in cells:
         where[0] = (p, a, s)
         [alone[p, a, s]] = experiment._run_scenario(cfg, clients[s], test, [(p, a, s)])
-    alone_starts, alone_ranked = starts[:], ranked[:]
-    starts.clear(), ranked.clear()
+    alone_lanes, alone_ranked = lanes[:], ranked[:]
+    lanes.clear(), ranked.clear()
 
     def train_spy(model, scenario_clients, test_set, train_cfg, train_cells):
         where[0] = next(s for s in cfg.scenarios if clients[s] is scenario_clients)
@@ -599,9 +607,9 @@ def test_lockstep_cells_equal_cells_run_alone(monkeypatch):
     assert lengths["passthrough", "mean", "negation_fraction"] == 1
     assert lengths["passthrough", "trimmed", "negation_fraction"] == 6
     assert sum(n == cfg.rounds for n in lengths.values()) == 10
-    # one call per distinct start; one ranking per distinct (matrix, kind)
-    want = sorted({(cell[2], *rest) for cell, *rest in alone_starts})
-    assert sorted(starts) == want and len(want) < len(alone_starts)
+    # each (model, client) lane trains once per distinct start; one ranking per distinct (matrix, kind)
+    want = sorted({(cell[2], *rest) for cell, *rest in alone_lanes})
+    assert sorted(lanes) == want and len(want) < len(alone_lanes)
     want = sorted({(cell[2], *rest) for cell, *rest in alone_ranked})
     assert sorted(ranked) == want and len(want) < len(alone_ranked)
 

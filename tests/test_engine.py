@@ -89,7 +89,8 @@ def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
     """client_update of the chosen clients (all by default) over the row pool
     run_training builds for these weights (by default the declared counts):
     label-shift labels flipped, no rows for a model-negation attacker, and
-    without honest_use_all_samples min(weight, rows held)."""
+    without honest_use_all_samples min(weight, rows held).  A (models, P)
+    stack w trains every client from each model, in one tiled plan."""
     weight = clients.declared if weight is None else weight
     data, shift = clients.data, np.repeat(clients.behavior == Behavior.LABEL_SHIFT, clients.size)
     data = Dataset(data.features, np.where(shift, (model.classes - 1) - data.labels, data.labels))
@@ -98,8 +99,9 @@ def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
         count = np.array([*map(min, weight, count.tolist())])
     pool, offset = engine._row_pool(data, clients, count, cfg.master_seed)
     at = np.arange(len(clients)) if chosen is None else np.array(chosen, dtype=np.int64)
-    updates = np.full((len(at), len(w)), np.nan)  # client_update fills every entry
-    plan = round_plan(at, offset[at], count[at], cfg, round_index)
+    models = np.atleast_2d(w)
+    updates = np.full((len(models) * len(at), models.shape[1]), np.nan)  # client_update fills every entry
+    plan = round_plan(at, offset[at], count[at], cfg, round_index, len(models))
     return client_update(model, w, plan, pool, updates)
 
 
@@ -289,8 +291,11 @@ def test_sampled_rounds_gather_each_client_from_the_pool(monkeypatch):
     seen, update = [], engine.client_update
 
     def spy(model, w, plan, *rest):
-        seen.append((w.copy(), plan.ids.tolist(), update(model, w, plan, *rest).copy()))
-        return seen[-1][2]
+        got, models = update(model, w, plan, *rest), np.atleast_2d(w)
+        # each start model's lanes (i % len(models) == j): its clients and their updates
+        seen.extend((v.copy(), plan.ids[j::len(models)].tolist(), got[j::len(models)].copy())
+                    for j, v in enumerate(models))
+        return got
 
     monkeypatch.setattr(engine, "client_update", spy)
     run_training(model, clients, clients[0].data, cfg, [(mode, WeightedMean())])
@@ -1075,7 +1080,7 @@ def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
     starts, update = [], engine.client_update
 
     def spy(model, w, plan, *rest):
-        starts.append((plan.round, w.copy()))
+        starts.extend((plan.round, v.copy()) for v in np.atleast_2d(w))
         return update(model, w, plan, *rest)
 
     monkeypatch.setattr(engine, "client_update", spy)
@@ -1085,6 +1090,113 @@ def test_lockstep_runs_equal_runs_alone_to_the_sign_of_zero(monkeypatch):
     for cell, (w, metrics) in zip(cells, together):
         [(alone, alone_metrics)] = run_training(ScalarQuadratic(), clients, scalar_data(0.0), cfg, [cell])
         assert w.tobytes() == alone.tobytes() and metrics == alone_metrics
+
+
+def chained_run(trial):
+    """A small population, TrainConfig and model drawn for trial, where three
+    honest clients of 8-13 rows are chained (more than one batch a round)
+    and at least one of them takes part in every round."""
+    rng = np.random.default_rng((31, trial))
+    model = [SoftmaxRegression(dim=4, classes=3), OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.0),
+             OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.2)][trial % 3]
+    sizes = [13, 13, 8, *rng.choice([1, 2, 3, 5, 8], size=rng.integers(4, 9)).tolist()]
+    odd = {int(cid): Behavior(b) for cid, b in zip(rng.choice(range(3, len(sizes)), 3, replace=False),
+                                                   rng.choice(["honest", "label_shift", "model_negation"], 3))}
+    data = generate_blobs(sum(sizes), dim=4, classes=3, seed=trial)
+    lies = {cid: 40 for cid, b in odd.items() if b is not Behavior.HONEST}
+    clients = population(*split_by_sizes(data, sizes, seed=1), lies, odd)
+    cfg = toy_config(rounds=3, eta=0.3, epochs=int(rng.integers(1, 3)),
+                     batch_size=[1, 2, 4, 0.3, 0.5][trial % 5],
+                     clients_per_round=[None, len(sizes) - 2, 0.8][int(rng.integers(3))],
+                     honest_use_all_samples=bool(trial % 2), master_seed=int(rng.integers(2**40)))
+    return model, clients, cfg
+
+
+@pytest.mark.parametrize("models", [2, 4])
+def test_tiled_client_update_equals_one_model_calls(models):
+    # every client from each of several models in one tiled plan: lane i * models + j
+    # has the bytes of client i's row of a call for model j alone, over softmax
+    # and the MLP, dropout 0 and 0.2, absolute and fractional batches, 1-2
+    # epochs, label shift and negation, sampled rounds and cut clients;
+    # shuffles are keyed on (round, client) and each lane builds its own dropout stream
+    for trial in range(30):
+        model, clients, cfg = chained_run(trial)
+        weight = [max(1, int(n) // 2) for n in clients.size]  # cuts clients without honest_use_all_samples
+        t = trial % 3 + 1
+        chosen = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
+        rng = np.random.default_rng(trial)
+        ws = model.init_params(rng) + rng.standard_normal((models, model.param_count))
+        tiled = round_update(model, ws, clients, cfg, t, chosen, weight)
+        for j, w in enumerate(ws):
+            alone = round_update(model, w, clients, cfg, t, chosen, weight)
+            assert tiled[j::models].tobytes() == alone.tobytes(), (trial, j)
+
+
+CHAINED_CELLS = [(mode, kind) for mode in (Passthrough(), Truncate(TruncationQuery("1/3", "1/2")))
+                 for kind in (WeightedMean(), WeightedMedian())] + [(Ignore(), TrimmedMean(0.1))]
+
+
+def test_chained_clients_train_once_for_all_models_with_the_bytes_of_cells_alone(monkeypatch):
+    # from round 2 the passthrough cells hold two models, so their chained
+    # clients train in a tiled call, as do the truncate cells' (whose cap cuts
+    # clients without honest_use_all_samples); every cell ends with the bytes it has alone
+    tiled, update = [], engine.client_update
+
+    def spy(model, w, plan, *rest):
+        tiled.append(np.ndim(w) == 2 and len(w) > 1)
+        return update(model, w, plan, *rest)
+
+    for trial in range(20):
+        model, clients, cfg = chained_run(trial)
+        tiled.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "client_update", spy)
+            together = run_training(model, clients, clients.data, cfg, CHAINED_CELLS)
+        assert any(tiled), trial
+        for cell, (w, metrics) in zip(CHAINED_CELLS, together):
+            [(alone, alone_metrics)] = run_training(model, clients, clients.data, cfg, [cell])
+            assert (w is None and alone is None) or w.tobytes() == alone.tobytes(), (trial, cell)
+            assert metrics_to_csv(metrics) == metrics_to_csv(alone_metrics), (trial, cell)
+
+
+def test_chained_clients_fill_at_most_one_more_matrix_and_each_lane_trains_once(monkeypatch):
+    # 4 cells of one row group: each round, every (model, client) lane trains
+    # exactly once; the tiled block holds the chained clients with the most
+    # rows, at most m // M of them, so no matrix client_update fills has more
+    # than m rows
+    sizes = [40, 3, 9, 1, 2, 9, 5, 1, 12, 2, 1, 6]
+    odd = {4: Behavior.MODEL_NEGATION, 6: Behavior.LABEL_SHIFT}
+    clients = population(*split_by_sizes(generate_blobs(sum(sizes), dim=4, classes=3, seed=2), sizes, seed=3),
+                         {cid: 30 for cid in odd}, odd)
+    cfg = toy_config(rounds=4, eta=0.3, batch_size=4, clients_per_round=9, master_seed=5)
+    calls, update = [], engine.client_update
+
+    def spy(model, w, plan, pool, updates):
+        models = np.atleast_2d(w)
+        calls.append((plan.round, len(models), updates.shape[0], plan.ids[::len(models)].tolist(),
+                      [(models[i % len(models)].tobytes(), c)
+                       for i, (c, n) in enumerate(zip(plan.ids.tolist(), plan.n.tolist())) if n]))
+        return update(model, w, plan, pool, updates)
+
+    monkeypatch.setattr(engine, "client_update", spy)
+    cells = [(mode, kind) for mode in (Passthrough(), Ignore()) for kind in (WeightedMean(), WeightedMedian())]
+    run_training(OneHiddenMLP(dim=4, hidden=5, classes=3, dropout_rate=0.2), clients, clients.data, cfg, cells)
+    m = 9
+    assert all(rows <= m for _, _, rows, _, _ in calls)
+    for t in range(1, cfg.rounds + 1):
+        at = select_clients(t, len(sizes), m, cfg.master_seed)
+        trains = [c for c in at.tolist() if c != 4]  # a negation attacker trains on no rows
+        lanes = [lane for u, _, _, _, round_lanes in calls if u == t for lane in round_lanes]
+        starts = {w for w, _ in lanes}
+        assert len(set(lanes)) == len(lanes)
+        assert sorted(lanes) == sorted((w, c) for w in starts for c in trains)
+        blocks = [(n, ids) for u, n, _, ids, _ in calls if u == t and n > 1]
+        if t == 1:
+            assert len(starts) == 1 and blocks == []
+            continue
+        chained = sorted((c for c in trains if sizes[c] > 4), key=lambda c: (-sizes[c], c))
+        assert blocks == [(len(starts), chained[:m // len(starts)])]
+    assert any(n > 1 for _, n, _, _, _ in calls)
 
 
 def test_norm_at_the_float_tails():
