@@ -10,17 +10,17 @@ how client work is scheduled.  A population is arrays (Clients), and a
 client's id is its position in them.
 
 run_training trains cells of one TrainConfig, which differ only in preprocess
-mode and aggregator, in lockstep: one selection a round, one round_plan (its
-shuffles and batch schedule) per set of usable rows, and each distinct model
-trains once (client_update, whose lanes step in lockstep too, which changes
-no bit) into one matrix in ascending client id.  With M > 1 models, its
-chained clients (more than one batch; most rows first, at most m // M of m)
-train once for all M, in one tiled pass: one more matrix at most.  The median
-and trimmed mean rank client-major copies of the matrix, a cache-sized block
-of columns at a time, ties in client order (_rank): one int64 sort of keys
-that pack a value's high bits above its client id, and a stable argsort of
-the few rows that come out of order.  The ranking reads no weight, so runs
-of one aggregator kind share it.
+mode and aggregator, in lockstep on one dataset: one selection a round, one
+round_plan (its shuffles, batch schedule and rows, read through an index) per
+set of usable rows, and each distinct model trains once (client_update, whose
+lanes step in lockstep too, which changes no bit) into one matrix in ascending
+client id.  With M > 1 models, its chained clients (more than one batch; most
+rows first, at most m // M of m) train once for all M, in one tiled pass: one
+more matrix at most.  The median and trimmed mean rank client-major copies of
+the matrix, a cache-sized block of columns at a time, ties in client order
+(_rank): one int64 sort of keys that pack a value's high bits above its client
+id, and a stable argsort of the few rows that come out of order.  The ranking
+reads no weight, so runs of one aggregator kind share it.
 
 A stream is built only where something is drawn from it: the init stream
 once per run; the select stream in a round where only some clients take
@@ -250,20 +250,17 @@ def metrics_to_csv(records: Sequence[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_pool(data: Dataset, clients: Clients, n: np.ndarray, seed: int):
-    """Where each client's n rows of data sit: a pool and each client's first
-    row in it.  While no client is cut (0 < n < rows held), data itself from
-    clients.start; else a gathered pool, client by client, of every row of a
-    client with n == rows held and each cut client's fixed subset, the first
-    n of a permutation from its subset stream (seeded in one batch, streams)."""
+def _row_pool(clients: Clients, n: np.ndarray, seed: int) -> np.ndarray:
+    """Each client's n usable rows of the run's dataset, client by client, as
+    one ascending int64 index: every row of a client with n == rows held, and
+    each cut client's (0 < n < rows held) fixed subset, the first n of a
+    permutation from its subset stream (seeded in one batch, streams)."""
     size = clients.size
     cut = np.flatnonzero((0 < n) & (n < size))
-    if not cut.size:
-        return data, clients.start
     rows = np.repeat(n == size, size)
     for i, rng in zip(cut.tolist(), streams(seed, _TAG_SUBSET, cut)):
         rows[clients.start[i] + rng.permutation(size[i])[:n[i]]] = True
-    return data.subset(rows), np.cumsum(n) - n
+    return np.flatnonzero(rows)
 
 
 def _batch_sizes(cfg: TrainConfig, n: np.ndarray) -> np.ndarray:  # client i's, for n[i] rows
@@ -271,13 +268,14 @@ def _batch_sizes(cfg: TrainConfig, n: np.ndarray) -> np.ndarray:  # client i's, 
     return np.maximum(1, np.ceil(b * n)).astype(int) if isinstance(b, float) else np.full(n.size, b)
 
 
-def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainConfig,
-               round_index: int, models: int = 1) -> RoundPlan:
+def round_plan(index: np.ndarray, ids: np.ndarray, offset: np.ndarray, n: np.ndarray,
+               cfg: TrainConfig, round_index: int, models: int = 1) -> RoundPlan:
     """What a round's local work reads besides the models, where client ids[i]
-    trains on the n[i] pool rows from offset[i], as lane i * models + j from
-    model j: one shuffle per epoch for each client of more than one row, which
-    its lanes share, and the batches sorted by (step, length, lane), equal
-    steps and lengths stacked up to _STACK_ROWS rows, or to models slices."""
+    trains on the dataset rows index[offset[i]:offset[i] + n[i]], as lane
+    i * models + j from model j: one shuffle per epoch for each client of more
+    than one row, which its lanes share, and the batches sorted by (step,
+    length, lane), equal steps and lengths stacked up to _STACK_ROWS rows, or
+    to models slices; each epoch maps its positions through index once."""
     b = _batch_sizes(cfg, n)
     many = n > 1
     shuffles = zip(streams(cfg.master_seed, _TAG_SHUFFLE, round_index, ids[many]), n[many].tolist())
@@ -301,19 +299,20 @@ def round_plan(ids: np.ndarray, offset: np.ndarray, n: np.ndarray, cfg: TrainCon
                scale[lo:hi, None]) for lo, hi, _ in bounds]
     windows = []
     for epoch in range(cfg.epochs):
-        index = np.repeat(offset, n)  # the round's rows in the pool; a one-row client stays put
+        pos = np.repeat(offset, n)  # the round's positions in index; a one-row client stays put
         if perms:
-            index[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
-        windows.append([index[start[lo:hi, None] + np.arange(size)] for lo, hi, size in bounds])
+            pos[np.repeat(many, n)] += np.concatenate([p[epoch] for p in perms])
+        rows = index[pos]
+        windows.append([rows[start[lo:hi, None] + np.arange(size)] for lo, hi, size in bounds])
     return RoundPlan(cfg.master_seed, round_index, np.repeat(ids, models), np.repeat(n, models),
                      stacks, windows)
 
 
-def client_update(model, w: np.ndarray, plan: RoundPlan, pool: Dataset,
+def client_update(model, w: np.ndarray, plan: RoundPlan, data: Dataset,
                   updates: np.ndarray) -> np.ndarray:
     """One round of local work from each of the (models, P) start models w,
     written into updates (len(plan.ids), P): row i is lane i's update, client
-    plan.ids[i]'s from model i % models, on its pool rows in plan's order.
+    plan.ids[i]'s from model i % models, on its rows of data in plan's order.
 
     A client with no rows (a model-negation attacker) sends -w.  Every other
     client runs epochs passes of mini-batch SGD from w over its rows; a
@@ -338,7 +337,7 @@ def client_update(model, w: np.ndarray, plan: RoundPlan, pool: Dataset,
             # one lane's parameters are a view; several are gathered once and scattered back
             params = updates[who]
             rngs = [dropout[i] for i in lanes] if drops else None
-            grad = model.gradient(params, pool.subset(window), rngs)
+            grad = model.gradient(params, data.subset(window), rngs)
             grad *= scale  # f * g == g * f bit for bit
             params -= grad
             if not isinstance(who, slice):
@@ -447,7 +446,7 @@ def aggregate_trimmed_mean(updates, weights, beta: float) -> np.ndarray:
     """
     TrimmedMean(beta)  # refuses beta outside [0, 1/2)
     u, wt, total, one = _as_arrays(updates, weights)
-    terms = np.empty(u.shape)  # (K, P), summed once down axis 0 one client at a time, not pairwise
+    terms = np.empty(u.shape)  # (K, P), P >= 2 (every model): summed down axis 0 a client at a time
     out, kept = np.empty((len(wt), u.shape[1])), []
     for c, (row, t) in enumerate(zip(wt, total)):
         for cols, order, values in _ranked_blocks(u, kept if c else None):
@@ -523,16 +522,17 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     distinct mode is preprocessed once into one weight array, which its
     cells share and each round indexes with select_clients' id array.
 
-    Label-shift labels y become (classes-1)-y once a run; model-negation
-    attackers train on no rows.  Cells whose clients have the same usable rows
-    (the rest all held under honest_use_all_samples, else min(weight, rows
-    held)) form a row group: one row pool (_row_pool), and one round_plan a
-    round.  Its models that are byte-equal at a round's start train once into
-    one (m, P) matrix (M > 1 models: chained clients once for all M, copied in
-    from one tiled block), which each aggregator kind reads once for the stack
-    of their weight rows.  Each distinct model is evaluated once a run, keyed on a
-    digest of its bytes (the bytes of every round's models would grow with the
-    rounds); a non-finite one ends its runs on NaN metrics.
+    Label-shift labels y become (classes-1)-y once a run, in the one dataset
+    every client_update reads; model-negation attackers train on no rows.
+    Cells with the same usable row counts (the rest all held under
+    honest_use_all_samples, else min(weight, rows held)), keyed on a digest of
+    the int64 counts, form a row group: one index of its rows (_row_pool), one
+    round_plan a round.  Its byte-equal models at a round's start train once
+    into one (m, P) matrix (M > 1 models: chained clients once for all M,
+    copied in from one tiled block), which each aggregator kind reads once for
+    the stack of their weight rows.  Each distinct model is evaluated once a
+    run, keyed on a digest of its bytes (the bytes of all rounds' models would
+    grow with the rounds); a non-finite one ends its runs on NaN metrics.
     """
     weights = {}  # one preprocess call a distinct mode, none kept when it is infeasible
     for mode in dict.fromkeys(mode for mode, _ in cells):
@@ -542,17 +542,17 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
     if (shift := np.repeat(behavior == Behavior.LABEL_SHIFT, clients.size)).any():
         data = Dataset(data.features, np.where(shift, (model.classes - 1) - data.labels, data.labels))
     held = np.where(behavior == Behavior.MODEL_NEGATION, 0, clients.size)  # rows each may train on
-    pools, runs = {}, []  # pools: usable rows -> (pool, offset, n)
+    pools, runs = {}, []  # pools: a digest of the usable row counts -> (index, offset, n)
     for mode, kind in cells:
         runs.append(run := SimpleNamespace(kind=kind, rows=None, w=None, metrics=[]))
         run.weight = weights.get(mode)
         if run.weight is None:
             continue  # the run never starts
         n = held if cfg.honest_use_all_samples else np.minimum(run.weight, held)
-        n = n.astype(np.int64, copy=False)  # object past 2^63; int64 bytes key the pools
-        run.rows = n.tobytes()
+        n = n.astype(np.int64, copy=False)  # object past 2^63; a digest of int64 counts keys the pools
+        run.rows = hashlib.sha256(n).digest()
         if run.rows not in pools:
-            pools[run.rows] = (*_row_pool(data, clients, n, cfg.master_seed), n)
+            pools[run.rows] = (_row_pool(clients, n, cfg.master_seed), np.cumsum(n) - n, n)
     live = [r for r in runs if r.rows is not None]
     w0 = model.init_params(stream(cfg.master_seed, _TAG_INIT)) if live else None
     for r in live:
@@ -562,23 +562,23 @@ def run_training(model, clients: Clients, testset: Dataset, cfg: TrainConfig,
         if not live:
             break
         at = select_clients(t, len(clients), cfg.clients_per_round, cfg.master_seed)
-        groups = {}  # usable rows -> {a model's bytes: (the model, its runs by kind)}
+        groups = {}  # row-count digest -> {a model's bytes: (the model, its runs by kind)}
         for r in live:
             _, kinds = groups.setdefault(r.rows, {}).setdefault(r.w.tobytes(), (r.w, {}))
             kinds.setdefault(r.kind, []).append(r)
         for rows, starts in groups.items():
-            pool, offset, n = pools[rows]
+            index, offset, n = pools[rows]
             offset, n, ws = offset[at], n[at], np.stack([w for w, _ in starts.values()])
             chains = (len(ws) > 1) & (cfg.epochs * -(-n // _batch_sizes(cfg, n)) > 1)  # > 1 batch
             pick = np.flatnonzero(chains)[np.argsort(-n[chains], kind="stable")][:len(at) // len(ws)]
             block = np.empty((len(ws) * pick.size, ws.shape[1]))  # at most one more (m, P)
             if pick.size:
-                client_update(model, ws, round_plan(at[pick], offset[pick], n[pick], cfg, t, len(ws)),
-                              pool, block)
+                client_update(model, ws, round_plan(index, at[pick], offset[pick], n[pick], cfg, t,
+                                                    len(ws)), data, block)
                 n[pick] = 0  # no batch in the group's plan; their rows are copied in from block
-            plan, updates = round_plan(at, offset, n, cfg, t), np.empty((len(at), ws.shape[1]))
+            plan, updates = round_plan(index, at, offset, n, cfg, t), np.empty((len(at), ws.shape[1]))
             for j, (w, kinds) in enumerate(starts.values()):
-                client_update(model, w, plan, pool, updates)
+                client_update(model, w, plan, data, updates)
                 updates[pick] = block[j::len(ws)]
                 for kind, same in kinds.items():
                     stack = aggregate(kind, updates, [r.weight[at] for r in same])

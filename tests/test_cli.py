@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import ctypes
 import glob
+import hashlib
 import os
 import re
 import subprocess
@@ -463,15 +464,37 @@ scenarios = none,negation_fraction
 """
 
 
-def test_run_grid_at_a_hundred_thousand_clients(tmp_path):
-    # two samples a client on average, most clients holding one row
-    results = run_grid(parse_config(CROWD), out_dir=str(tmp_path), jobs=1)
-    assert len(results) == 4 and len(list(tmp_path.iterdir())) == 5
-    for r in results:
-        path = tmp_path / metrics_filename(r.preprocess, r.aggregator, r.attack)
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        assert len(rows) == 3
-        assert all(np.isfinite(float(x)) for row in rows for x in row)
+CROWD_DIGESTS = {  # sha256 over each written file's name and bytes, in name order
+    True: "bfaa7f5b9d10befe8cfdf438c397f242942d5ef96a69bbfa26eba649aa05b2e6",
+    False: "84e417e6bf4ffc2b35637455118ba2e5b58ecf1a9c83ad056d7a1d5f0f815df2",
+}
+
+
+def test_run_grid_at_a_hundred_thousand_clients(tmp_path, monkeypatch):
+    # two samples a client on average, most clients holding one row; without
+    # honest_use_all_samples the truncate cap cuts clients to a subset of rows
+    counts, row_pool = [], engine._row_pool
+
+    def pool_spy(clients, n, seed):
+        counts.append(((0 < n) & (n < clients.size)).sum())
+        return row_pool(clients, n, seed)
+
+    monkeypatch.setattr(engine, "_row_pool", pool_spy)
+    for use_all, digest in CROWD_DIGESTS.items():
+        flag, out = f"honest_use_all_samples = {str(use_all).lower()}\n[preprocess]", tmp_path / str(use_all)
+        counts.clear()
+        results = run_grid(parse_config(CROWD.replace("[preprocess]", flag)), out_dir=str(out), jobs=1)
+        assert len(results) == 4 and len(list(out.iterdir())) == 5
+        assert (max(counts) > 0) == (not use_all)  # cut clients, so a subset index at scale
+        h = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            h.update(path.name.encode() + path.read_bytes())
+        assert h.hexdigest() == digest
+        for r in results:
+            path = out / metrics_filename(r.preprocess, r.aggregator, r.attack)
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            assert len(rows) == 3
+            assert all(np.isfinite(float(x)) for row in rows for x in row)
 
 
 def test_in_process_cells_of_a_scenario_share_round_one(tmp_path, monkeypatch):

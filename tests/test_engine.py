@@ -86,23 +86,23 @@ def population(data, sizes, declared=None, behavior=None):
 
 
 def round_update(model, w, clients, cfg, round_index, chosen=None, weight=None):
-    """client_update of the chosen clients (all by default) over the row pool
-    run_training builds for these weights (by default the declared counts):
-    label-shift labels flipped, no rows for a model-negation attacker, and
-    without honest_use_all_samples min(weight, rows held).  A (models, P)
-    stack w trains every client from each model, in one tiled plan."""
+    """client_update of the chosen clients (all by default) over the dataset
+    and row index run_training builds for these weights (by default the
+    declared counts): label-shift labels flipped, no rows for a model-negation
+    attacker, and without honest_use_all_samples min(weight, rows held).  A
+    (models, P) stack w trains every client from each model, in one tiled plan."""
     weight = clients.declared if weight is None else weight
     data, shift = clients.data, np.repeat(clients.behavior == Behavior.LABEL_SHIFT, clients.size)
     data = Dataset(data.features, np.where(shift, (model.classes - 1) - data.labels, data.labels))
     count = np.where(clients.behavior == Behavior.MODEL_NEGATION, 0, clients.size)
     if not cfg.honest_use_all_samples:
         count = np.array([*map(min, weight, count.tolist())])
-    pool, offset = engine._row_pool(data, clients, count, cfg.master_seed)
+    index, offset = engine._row_pool(clients, count, cfg.master_seed), np.cumsum(count) - count
     at = np.arange(len(clients)) if chosen is None else np.array(chosen, dtype=np.int64)
     models = np.atleast_2d(w)
     updates = np.full((len(models) * len(at), models.shape[1]), np.nan)  # client_update fills every entry
-    plan = round_plan(at, offset[at], count[at], cfg, round_index, len(models))
-    return client_update(model, w, plan, pool, updates)
+    plan = round_plan(index, at, offset[at], count[at], cfg, round_index, len(models))
+    return client_update(model, w, plan, data, updates)
 
 
 def train_one(model, w, clients, cfg, round_index, who=0, weight=None):
@@ -367,9 +367,9 @@ def test_fixed_subset_built_once_per_run(monkeypatch):
 
 
 def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
-    # while no client is cut (under honest_use_all_samples, or without it at
-    # weights of at least every client's rows) client_update reads the
-    # clients' own features; a label-shift client gets a copy of the labels
+    # every client_update call of a run reads one dataset on the clients' own
+    # features, also where the truncate cell's cap of 3 cuts client 2 (without
+    # honest_use_all_samples); a label-shift client gets a copy of the labels
     # in which only its own rows' labels are flipped, and without one
     # nothing is copied
     pools, update = [], engine.client_update
@@ -386,8 +386,10 @@ def test_pool_is_the_clients_rows_with_only_shifted_labels_copied(monkeypatch):
         pools.clear()
         clients = population(*data, {i: 50 for i in shifted}, shifted)
         cfg = toy_config(rounds=2, honest_use_all_samples=use_all)
-        run_training(model, clients, clients[0].data, cfg, PLAIN)
-        assert len(pools) == 2 and pools[0] is pools[1]
+        cut = Truncate(TruncationQuery("1/4", "1/3"))
+        assert preprocess(clients.declared, cut).tolist() == [3, 1, 3, 2]
+        run_training(model, clients, clients[0].data, cfg, PLAIN + [(cut, WeightedMean())])
+        assert len(pools) > 2 and all(p is pools[0] for p in pools)
         pool = pools[0]
         assert np.shares_memory(pool.features, clients.data.features)
         assert np.shares_memory(pool.labels, clients.data.labels) == (not shifted)
@@ -938,18 +940,23 @@ def test_sample_budget_is_the_preprocessed_weight():
 
 def test_one_initial_model_and_one_selection_per_round(monkeypatch):
     # two row groups, passthrough on every row and truncate on at most its
-    # cap of 30, start from one initial model, build their pools from one
-    # dataset whose label-shift labels were flipped once (the uncut group's
-    # pool is that dataset) and share each round's selection; a run with no
-    # feasible cell draws neither
-    pools, row_pool = [], engine._row_pool
+    # cap of 30, start from one initial model, index their rows client by
+    # client in one dataset on the clients' features, whose label-shift
+    # labels were flipped once and which every client_update reads, and share
+    # each round's selection; a run with no feasible cell draws neither
+    pools, datasets, row_pool, update = [], [], engine._row_pool, engine.client_update
     built = spy_streams(monkeypatch)
 
-    def pool_spy(data, clients, n, seed):
-        pools.append((data, n.tolist(), row_pool(data, clients, n, seed)))
-        return pools[-1][2]
+    def pool_spy(clients, n, seed):
+        pools.append((n.tolist(), row_pool(clients, n, seed)))
+        return pools[-1][1]
+
+    def update_spy(model, w, plan, data, updates):
+        datasets.append(data)
+        return update(model, w, plan, data, updates)
 
     monkeypatch.setattr(engine, "_row_pool", pool_spy)
+    monkeypatch.setattr(engine, "client_update", update_spy)
     model = SoftmaxRegression(dim=6, classes=3)
     clients = blob_clients(behavior_map={2: Behavior.LABEL_SHIFT})
     test = generate_blobs(60, dim=6, classes=3, seed=11)
@@ -957,11 +964,14 @@ def test_one_initial_model_and_one_selection_per_round(monkeypatch):
                      master_seed=7)
     cells = [(Passthrough(), WeightedMean()), (Truncate(TruncationQuery("1/2", "1/2")), WeightedMean())]
     run_training(model, clients, test, cfg, cells)
-    assert [n for _, n, _ in pools] == [[30, 35, 40, 45, 50, 55], [30] * 6]
-    (data, _, (whole, start)), (again, _, (cut, _)) = pools
-    assert again is data and whole is data and np.array_equal(start, clients.start)
+    assert [n for n, _ in pools] == [[30, 35, 40, 45, 50, 55], [30] * 6]
+    (_, whole), (_, cut) = pools
+    assert whole.dtype == cut.dtype == np.int64 and np.array_equal(whole, np.arange(255))
+    assert np.array_equal(np.searchsorted(clients.start, cut, "right") - 1, np.repeat(np.arange(6), 30))
+    assert np.all(np.diff(cut) > 0)
+    data = datasets[0]
+    assert len(datasets) > 3 and all(d is data for d in datasets)
     assert np.shares_memory(data.features, clients.data.features)
-    assert not np.shares_memory(cut.features, clients.data.features)
     want = clients.data.labels.copy()
     want[65:105] = 2 - want[65:105]  # client 2's rows
     assert data.labels.tobytes() == want.tobytes()
@@ -981,12 +991,12 @@ def test_one_initial_model_and_one_selection_per_round(monkeypatch):
 def test_row_counts_under_weights_past_int64_key_one_pool(monkeypatch):
     # a weight of 2^64 makes the mode's weight array an object array; the
     # row counts min(weight, rows held) are int64 all the same, so the two
-    # cells of the mode share one row pool, keyed on those bytes
+    # cells of the mode share one row index, keyed on a digest of those counts
     pools, row_pool = [], engine._row_pool
 
-    def pool_spy(data, clients, n, seed):
+    def pool_spy(clients, n, seed):
         pools.append(n)
-        return row_pool(data, clients, n, seed)
+        return row_pool(clients, n, seed)
 
     monkeypatch.setattr(engine, "_row_pool", pool_spy)
     sizes = [30 + 5 * i for i in range(6)]
